@@ -111,9 +111,7 @@ class SpaceAnalysis:
     def piece_dist_array(self, pid: int) -> np.ndarray:
         arr = self._piece_dist.get(pid)
         if arr is None:
-            g = self.space.graph
-            rows = np.stack([g.dist_row(v) for v in sorted(self.space.pieces[pid])])
-            arr = rows.min(axis=0)
+            arr = self.space.graph.dist_block(sorted(self.space.pieces[pid])).min(axis=0)
             self._piece_dist[pid] = arr
         return arr
 
@@ -127,7 +125,7 @@ def check_projection_uniqueness(ana: SpaceAnalysis) -> CheckResult:
     g = space.graph
     for pid, piece in enumerate(space.pieces):
         members = np.asarray(sorted(piece), dtype=np.int64)
-        rows = np.stack([g.dist_row(int(v)) for v in members])
+        rows = g.dist_block(members)
         nearest = rows.min(axis=0)
         counts = (rows == nearest).sum(axis=0)
         argmins = members[np.argmax(rows == nearest, axis=0)]
@@ -414,10 +412,9 @@ class _ClassChains:
     """Chain-step structure of one color class, built once and reused."""
 
     def __init__(self, space: Space, members: list[int]):
-        g = space.graph
         self.idx = {v: i for i, v in enumerate(members)}
         self.arr = np.asarray(members, dtype=np.int64)
-        self.sub = np.stack([g.dist_row(int(v)) for v in self.arr])[:, self.arr]
+        self.sub = space.graph.dist_block(self.arr, self.arr)
 
     def chain_between(self, max_step: int, x: int, y: int) -> list[int] | None:
         arr, idx, sub = self.arr, self.idx, self.sub
@@ -594,7 +591,7 @@ def check_geodesic_chain_distance(
         comp = sorted(comp_of[x])
         comp_arr = np.asarray(comp, dtype=np.int64)
         gamma_arr = np.asarray(gamma.vertices, dtype=np.int64)
-        sub = np.stack([g.dist_row(int(v)) for v in comp_arr])[:, gamma_arr]
+        sub = g.dist_block(comp_arr, gamma_arr)
         mindist = sub.min(axis=0)
         in_comp = np.isin(gamma_arr, comp_arr)
         long_runs = [(seg.start, seg.end) for seg in tr.segments if seg.long]

@@ -215,9 +215,7 @@ def cmd_measure(args) -> int:
     return EXIT_OK
 
 
-def _config_from_json(path: str) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+def _config_from_json(data: dict) -> ExperimentConfig:
     sources = []
     for i, entry in enumerate(data.get("spaces", [])):
         name = entry.get("name", f"space-{i:03d}")
@@ -269,7 +267,7 @@ def cmd_experiment(args) -> int:
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        config = _config_from_json(args.config)
+        config = _config_from_json(data)
         if args.parallelism is not None:
             import dataclasses
 
@@ -277,7 +275,7 @@ def cmd_experiment(args) -> int:
     except OSError as exc:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (KeyError, ValueError, TypeError) as exc:
+    except (AttributeError, KeyError, ValueError, TypeError) as exc:
         print(f"bad experiment config: {exc}", file=sys.stderr)
         return EXIT_INPUT
     out = args.out or data.get("out")

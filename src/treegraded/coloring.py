@@ -104,7 +104,6 @@ class PieceColoring:
     recolored: dict[int, int]  # color 0 forced on the base ball
     basepoint: int
     base_component: frozenset[int]
-    base_component_core: frozenset[int]  # base component minus the base vertex
 
 
 @dataclass(frozen=True)
@@ -450,7 +449,6 @@ def finalize_piece_coloring(
         recolored=recolored,
         basepoint=base,
         base_component=comp,
-        base_component_core=comp - {base},
     )
 
 

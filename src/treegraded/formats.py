@@ -83,6 +83,8 @@ def read_space(stream: IO[str] | str) -> Space:
         raise FormatError(f"bad header {magic!r}, expected {SPACE_MAGIC!r}", lines.lineno)
     n = _int_field(lines, "vertices")
     m = _int_field(lines, "edges")
+    if n > m + 1:
+        raise FormatError(f"{n} vertices need at least {n - 1} edges to be connected", lines.lineno)
     edges: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
     for _ in range(m):

@@ -6,25 +6,25 @@ ChainPredicate: strict chains step d < r, weak chains step d <= r. All
 distances are measured in the ambient graph even when an operation is
 restricted to a vertex subset.
 
-All-pairs distances are cached lazily (scipy's C BFS for graphs up to
-_DENSE_CAP vertices, per-source python BFS above that); everything downstream
-is a lookup into those rows.
+All-pairs distances are one int32 matrix, filled lazily by scipy's C
+shortest-path routine a block of source rows at a time. Only this module knows
+that layout: callers read it through dist_row and dist_block.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
+from numpy.typing import ArrayLike
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components as _sparse_components
 from scipy.sparse.csgraph import shortest_path as _sparse_shortest_path
 
-# all-pairs matrix kept for graphs up to the standard corpus cap (5,000
-# vertices, ~100MB int32); larger graphs fall back to cached per-source BFS
-_DENSE_CAP = 5200
+# entries per block of source rows in the matrix build: scipy returns each
+# block as float64, so this keeps its temporary near 32 MB at any graph size
+_BLOCK_ENTRIES = 2**22
 
 
 class GraphError(ValueError):
@@ -109,7 +109,7 @@ def normalize_edge(u: int, v: int) -> tuple[int, int]:
 class Graph:
     """Immutable connected unit-edge graph with cached metric queries."""
 
-    __slots__ = ("vertex_count", "edges", "adj", "_matrix", "_rows")
+    __slots__ = ("vertex_count", "edges", "adj", "_matrix")
 
     def __init__(self, vertex_count: int, edges: Iterable[tuple[int, int]]):
         if vertex_count < 1:
@@ -129,54 +129,56 @@ class Graph:
             adj[v].append(u)
         self.adj = tuple(tuple(sorted(a)) for a in adj)
         self._matrix: np.ndarray | None = None
-        self._rows: dict[int, np.ndarray] = {}
         self._check_connected()
 
+    def _sparse(self) -> csr_matrix:
+        n = self.vertex_count
+        if not self.edges:
+            return csr_matrix((n, n), dtype=np.int8)
+        us, vs = zip(*self.edges)
+        row = np.fromiter(us + vs, dtype=np.int32)
+        col = np.fromiter(vs + us, dtype=np.int32)
+        return csr_matrix((np.ones(len(row), dtype=np.int8), (row, col)), shape=(n, n))
+
     def _check_connected(self):
-        seen = self._bfs_row(0)
-        missing = np.nonzero(seen < 0)[0]
+        _, labels = _sparse_components(self._sparse(), directed=False)
+        missing = np.nonzero(labels != labels[0])[0]
         if missing.size:
             raise GraphError(f"graph is disconnected (vertex {int(missing[0])} unreachable from 0)")
-
-    def _bfs_row(self, src: int) -> np.ndarray:
-        dist = np.full(self.vertex_count, -1, dtype=np.int32)
-        dist[src] = 0
-        queue = deque([src])
-        adj = self.adj
-        while queue:
-            u = queue.popleft()
-            du = dist[u] + 1
-            for w in adj[u]:
-                if dist[w] < 0:
-                    dist[w] = du
-                    queue.append(w)
-        return dist
 
     def _ensure_matrix(self) -> np.ndarray:
         if self._matrix is None:
             n = self.vertex_count
-            if self.edges:
-                us, vs = zip(*self.edges)
-                row = np.fromiter(us + vs, dtype=np.int32)
-                col = np.fromiter(vs + us, dtype=np.int32)
-                data = np.ones(len(row), dtype=np.int8)
-                sp = csr_matrix((data, (row, col)), shape=(n, n))
-            else:
-                sp = csr_matrix((n, n), dtype=np.int8)
-            dist = _sparse_shortest_path(sp, method="D", unweighted=True, directed=False)
-            self._matrix = dist.astype(np.int32)
+            sp = self._sparse()
+            height = max(1, _BLOCK_ENTRIES // n)
+            dist = np.empty((n, n), dtype=np.int32)
+            for lo in range(0, n, height):
+                hi = min(lo + height, n)
+                dist[lo:hi] = _sparse_shortest_path(
+                    sp, method="D", unweighted=True, directed=False, indices=np.arange(lo, hi)
+                )
+            self._matrix = dist
         return self._matrix
 
     def dist_row(self, u: int) -> np.ndarray:
         """Distances from u to every vertex, as an int32 array."""
         self.check_vertex(u)
-        if self.vertex_count <= _DENSE_CAP:
-            return self._ensure_matrix()[u]
-        row = self._rows.get(u)
-        if row is None:
-            row = self._bfs_row(u)
-            self._rows[u] = row
-        return row
+        return self._ensure_matrix()[u]
+
+    def dist_block(self, rows: ArrayLike, cols: ArrayLike | None = None) -> np.ndarray:
+        """int32 distances from each vertex of rows (axis 0) to each vertex of
+        cols (axis 1; every vertex when cols is None), in the order given."""
+        rows = self._vertex_array(rows)
+        if cols is None:
+            return self._ensure_matrix()[rows]
+        return self._ensure_matrix()[np.ix_(rows, self._vertex_array(cols))]
+
+    def _vertex_array(self, vertices: ArrayLike) -> np.ndarray:
+        arr = np.asarray(vertices, dtype=np.int64)
+        bad = arr[(arr < 0) | (arr >= self.vertex_count)]
+        if bad.size:
+            raise GraphError(f"unknown vertex id {int(bad[0])}")
+        return arr
 
     def check_vertex(self, v: int):
         if not (0 <= v < self.vertex_count):
@@ -240,7 +242,7 @@ class Graph:
         for v in idx:
             self.check_vertex(v)
         arr = np.asarray(idx, dtype=np.int64)
-        sub = np.stack([self.dist_row(int(v)) for v in arr])[:, arr]
+        sub = self.dist_block(arr, arr)
         flat = int(np.argmax(sub))
         i, j = divmod(flat, len(arr))
         return int(sub[i, j]), (int(arr[i]), int(arr[j]))
@@ -257,8 +259,7 @@ class Graph:
             return []
         if len(idx) == 1:
             return [frozenset(idx)]
-        arr = np.asarray(idx, dtype=np.int64)
-        sub = np.stack([self.dist_row(int(v)) for v in arr])[:, arr]
+        sub = self.dist_block(idx, idx)
         reach = csr_matrix(sub <= pred.max_step)
         _, labels = _sparse_components(reach, directed=False)
         groups: dict[int, list[int]] = {}

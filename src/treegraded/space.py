@@ -358,18 +358,3 @@ class Space:
             }
         return self._basepoints
 
-
-def validate(space: Space) -> ValidationReport:
-    return space.validate()
-
-
-def gluing_tree(space: Space) -> PieceTree:
-    return space.gluing_tree()
-
-
-def project(space: Space, pid: int, x: int) -> int:
-    return space.project(pid, x)
-
-
-def assign_basepoints(space: Space) -> dict[int, int]:
-    return space.basepoints()

@@ -193,6 +193,14 @@ class TestExperiment:
         proc = run_cli("experiment", cfg)
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("config", [[2], {"r_list": [2], "spaces": ["x"]}])
+    def test_non_object_config_is_config_error(self, tmp_path, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        proc = run_cli("experiment", cfg)
+        assert proc.returncode == 2
+        assert "bad experiment config" in proc.stderr
+
     def test_missing_file_space_recorded_as_error(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(

@@ -7,6 +7,7 @@ import io
 import pytest
 from hypothesis import given, settings
 
+from treegraded import formats
 from treegraded.formats import (
     FormatError,
     read_coloring,
@@ -90,6 +91,18 @@ def test_truncation_reports_line_number():
         read_space(io.StringIO(truncated))
     assert err.value.line == 5
     assert "line 5" in str(err.value)
+
+
+def test_too_few_edges_rejected_before_graph_is_built(monkeypatch):
+    def no_graph(*args, **kwargs):
+        raise AssertionError("Graph built before the edge count was checked")
+
+    monkeypatch.setattr(formats, "Graph", no_graph)
+    text = "tgspace 1\nvertices 5\nedges 1\n0 1\nbasepoint 0\npieces 1\n2 0 1\n"
+    with pytest.raises(FormatError) as err:
+        read_space(io.StringIO(text))
+    assert err.value.line == 3
+    assert "5 vertices need at least 4 edges" in str(err.value)
 
 
 def test_coloring_round_trip():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,10 +29,14 @@ class TestShortestDist:
     def test_unknown_vertex(self):
         with pytest.raises(GraphError):
             path_graph(3).shortest_dist(0, 7)
+        with pytest.raises(GraphError):
+            path_graph(3).dist_block([0], [-1])
+        with pytest.raises(GraphError):
+            path_graph(3).dist_block([3])
 
     @settings(max_examples=40, deadline=None)
-    @given(connected_graphs(max_n=24))
-    def test_metric_axioms_match_floyd_warshall(self, g: Graph):
+    @given(connected_graphs(max_n=24), st.data())
+    def test_metric_axioms_match_floyd_warshall(self, g: Graph, data):
         ref = floyd_warshall(g)
         n = g.vertex_count
         for u in range(n):
@@ -44,6 +49,28 @@ class TestShortestDist:
             for v in range(n):
                 for w in range(n):
                     assert ref[u][w] <= ref[u][v] + ref[v][w]
+        vertices = st.lists(st.integers(0, n - 1), min_size=1, max_size=n)
+        rows, cols = data.draw(vertices), data.draw(vertices)
+        assert g.dist_block(rows, cols).tolist() == [[ref[u][v] for v in cols] for u in rows]
+        assert g.dist_block(rows).tolist() == [ref[u] for u in rows]
+
+    def test_long_cycle_spans_several_source_blocks(self):
+        # 3,000 vertices fill the matrix in three blocks of source rows
+        n = 3000
+        g = cycle_graph(n)
+        verts = np.arange(n)
+
+        def closed_form(u):
+            gap = np.abs(verts - u)
+            return np.minimum(gap, n - gap)
+
+        for u in (0, 1, 1397, 1398, 1399, 2795, 2796, 2999):
+            assert np.array_equal(g.dist_row(u), closed_form(u))
+        rows = np.arange(0, n, 7)
+        cols = np.arange(n - 1, -1, -11)
+        expect = np.stack([closed_form(u) for u in rows])
+        assert np.array_equal(g.dist_block(rows), expect)
+        assert np.array_equal(g.dist_block(rows, cols), expect[:, cols])
 
 
 class TestCanonicalGeodesic:
