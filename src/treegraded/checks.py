@@ -154,12 +154,7 @@ def check_projection_lipschitz(ana: SpaceAnalysis) -> CheckResult:
     vs = np.fromiter((v for _, v in edges), dtype=np.int64, count=len(edges))
     for pid, piece in enumerate(space.pieces):
         proj = ana.proj_array(pid)
-        pu, pv = proj[us], proj[vs]
-        gaps = np.fromiter(
-            (g.shortest_dist(int(a), int(b)) for a, b in zip(pu, pv)),
-            dtype=np.int64,
-            count=len(edges),
-        )
+        gaps = g.dist_pairs(proj[us], proj[vs])
         res.checked += len(edges)
         for k in np.nonzero(gaps > 1)[0]:
             res.hit(
@@ -182,25 +177,27 @@ def check_projection_stability(ana: SpaceAnalysis, rng: SplitMix64, samples: int
     g = space.graph
     n = g.vertex_count
     k = len(space.pieces)
-    applicable = 0
-    for _ in range(samples):
-        x = rng.randint(0, n - 1)
-        y = rng.randint(0, n - 1)
-        pid = rng.randint(0, k - 1)
-        res.checked += 1
-        if g.shortest_dist(x, y) > int(ana.piece_dist_array(pid)[x]):
-            continue
-        applicable += 1
+    draws = np.array(
+        [(rng.randint(0, n - 1), rng.randint(0, n - 1), rng.randint(0, k - 1)) for _ in range(samples)],
+        dtype=np.int64,
+    ).reshape(samples, 3)
+    xs, ys, pids = draws.T
+    res.checked += samples
+    to_piece = np.empty(samples, dtype=np.int64)
+    for pid in np.unique(pids):
+        at = pids == pid
+        to_piece[at] = ana.piece_dist_array(int(pid))[xs[at]]
+    applicable = g.dist_pairs(xs, ys) <= to_piece
+    moved = np.zeros(samples, dtype=bool)
+    for pid in np.unique(pids[applicable]):
+        at = applicable & (pids == pid)
+        proj = ana.proj_array(int(pid))
+        moved[at] = proj[xs[at]] != proj[ys[at]]
+    for i in np.flatnonzero(moved):
+        x, y, pid = (int(v) for v in draws[i])
         proj = ana.proj_array(pid)
-        if int(proj[x]) != int(proj[y]):
-            res.hit(
-                {
-                    "piece": pid,
-                    "pair": (x, y),
-                    "projections": (int(proj[x]), int(proj[y])),
-                }
-            )
-    res.info["applicable"] = applicable
+        res.hit({"piece": pid, "pair": (x, y), "projections": (int(proj[x]), int(proj[y]))})
+    res.info["applicable"] = int(applicable.sum())
     return res
 
 

@@ -93,6 +93,58 @@ class ExperimentConfig:
             raise ValueError("parallelism must be >= 1")
 
 
+def config_from_json(data: dict) -> ExperimentConfig:
+    """The configuration a parsed experiment config file describes.
+
+    A malformed file raises AttributeError, KeyError, ValueError or TypeError.
+    """
+    sources = []
+    for i, entry in enumerate(data.get("spaces", [])):
+        name = entry.get("name", f"space-{i:03d}")
+        if "file" in entry:
+            sources.append(SpaceSource(name=name, path=entry["file"]))
+        elif "forge" in entry:
+            fg = entry["forge"]
+            spec = ForgeSpec(
+                templates=tuple(
+                    (PieceTemplate.parse(t), int(w)) for t, w in fg["templates"]
+                ),
+                piece_budget=int(fg["pieces"]),
+                max_tree_depth=int(fg.get("max_tree_depth", 8)),
+                attach_spacing=int(fg.get("spacing", 1)),
+                branch_cap=int(fg.get("branch_cap", 3)),
+                seed=int(fg.get("seed", 0)),
+                subdivide=int(fg.get("subdivide", 1)),
+            )
+            sources.append(SpaceSource(name=name, forge=spec))
+        else:
+            raise ValueError(f"space entry {name!r} needs 'file' or 'forge'")
+    strategy = data.get("strategy", {})
+    samples = data.get("samples", {})
+    return ExperimentConfig(
+        sources=tuple(sources),
+        r_list=tuple(int(r) for r in data["r_list"]),
+        chain_mode=data.get("chain_mode", "strict"),
+        n_override=data.get("n"),
+        plan=StrategyPlan(
+            band_width=strategy.get("band_width"),
+            arc_width=strategy.get("arc_width"),
+            brick_width=strategy.get("brick_width"),
+        ),
+        color_period_override=data.get("color_period"),
+        samples=SampleBudget(
+            stability_pairs=int(samples.get("stability_pairs", 10_000)),
+            chains=int(samples.get("chains", 1_000)),
+            trace_targets=int(samples.get("trace_targets", 64)),
+            geodesic_chain_targets=int(samples.get("geodesic_chain_targets", 48)),
+        ),
+        property_checks=bool(data.get("property_checks", True)),
+        slack_2r=bool(data.get("slack_2r", True)),
+        parallelism=int(data.get("parallelism", 1)),
+        seed=int(data.get("seed", 0)),
+    )
+
+
 def apply_env_seed(config: ExperimentConfig) -> ExperimentConfig:
     """Honor TG_SEED: replaces the sampling seed and re-seeds forge sources."""
     raw = os.environ.get("TG_SEED")

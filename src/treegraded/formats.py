@@ -59,6 +59,14 @@ class _Lines:
                 raise FormatError(f"unexpected trailing content {line!r}", lineno)
 
 
+def _read_file(path: str, reader):
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return reader(fh)
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"not UTF-8 text: {exc}") from None
+
+
 def _int_field(lines: _Lines, key: str) -> int:
     line = lines.next(f"'{key} <int>'")
     parts = line.split()
@@ -75,8 +83,7 @@ def _int_field(lines: _Lines, key: str) -> int:
 
 def read_space(stream: IO[str] | str) -> Space:
     if isinstance(stream, str):
-        with open(stream, "r", encoding="utf-8") as fh:
-            return read_space(fh)
+        return _read_file(stream, read_space)
     lines = _Lines(stream)
     magic = lines.next("header")
     if magic != SPACE_MAGIC:
@@ -163,8 +170,7 @@ def space_to_text(space: Space, metadata: Mapping[str, object] | None = None) ->
 
 def read_coloring(stream: IO[str] | str) -> dict[int, int]:
     if isinstance(stream, str):
-        with open(stream, "r", encoding="utf-8") as fh:
-            return read_coloring(fh)
+        return _read_file(stream, read_coloring)
     first: str | None = None
     colors: dict[int, int] = {}
     for lineno, raw in enumerate(stream, start=1):

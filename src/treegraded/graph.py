@@ -6,15 +6,25 @@ ChainPredicate: strict chains step d < r, weak chains step d <= r. All
 distances are measured in the ambient graph even when an operation is
 restricted to a vertex subset.
 
-All-pairs distances are one int32 matrix, filled lazily by scipy's C
-shortest-path routine a block of source rows at a time. Only this module knows
-that layout: callers read it through dist_row and dist_block.
+All-pairs distances are one int32 matrix, and only this module writes or
+knows that layout: callers read it through dist_row, dist_block and
+dist_pairs. It is filled one of two ways:
+
+  composed   when a validated tree-graded Space hands over its placement
+             (compose_distances): scipy's C shortest-path routine runs on each
+             piece's induced subgraph alone, and the pieces' tables are glued
+             along the gluing tree through their cut vertices;
+  generic    on the first distance query of any other graph: scipy runs from
+             every source over the whole graph, a block of source rows at a
+             time.
+
+Both give the same exact integer matrix on a tree-graded space.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -22,9 +32,41 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components as _sparse_components
 from scipy.sparse.csgraph import shortest_path as _sparse_shortest_path
 
-# entries per block of source rows in the matrix build: scipy returns each
+# entries per block of source rows in an all-pairs build: scipy returns each
 # block as float64, so this keeps its temporary near 32 MB at any graph size
 _BLOCK_ENTRIES = 2**22
+
+
+def _all_pairs(sp: csr_matrix) -> np.ndarray:
+    """int32 all-pairs distances of the connected unit-edge graph sp."""
+    n = sp.shape[0]
+    height = max(1, _BLOCK_ENTRIES // n)
+    dist = np.empty((n, n), dtype=np.int32)
+    for lo in range(0, n, height):
+        hi = min(lo + height, n)
+        dist[lo:hi] = _sparse_shortest_path(
+            sp, method="D", unweighted=True, directed=False, indices=np.arange(lo, hi)
+        )
+    return dist
+
+
+def _block(rows: np.ndarray, cols: np.ndarray):
+    """Index of the rows x cols block of a matrix, for sorted vertex arrays.
+
+    An array of consecutive ids becomes a slice, which numpy writes several
+    times faster than a fancy index; generated pieces number their vertices
+    consecutively.
+    """
+    rows, cols = _as_range(rows), _as_range(cols)
+    if isinstance(rows, slice) or isinstance(cols, slice):
+        return rows, cols
+    return np.ix_(rows, cols)
+
+
+def _as_range(ids: np.ndarray) -> np.ndarray | slice:
+    if ids.size and ids[-1] - ids[0] + 1 == ids.size:
+        return slice(int(ids[0]), int(ids[-1]) + 1)
+    return ids
 
 
 class GraphError(ValueError):
@@ -148,17 +190,45 @@ class Graph:
 
     def _ensure_matrix(self) -> np.ndarray:
         if self._matrix is None:
-            n = self.vertex_count
-            sp = self._sparse()
-            height = max(1, _BLOCK_ENTRIES // n)
-            dist = np.empty((n, n), dtype=np.int32)
-            for lo in range(0, n, height):
-                hi = min(lo + height, n)
-                dist[lo:hi] = _sparse_shortest_path(
-                    sp, method="D", unweighted=True, directed=False, indices=np.arange(lo, hi)
-                )
-            self._matrix = dist
+            self._matrix = _all_pairs(self._sparse())
         return self._matrix
+
+    def compose_distances(self, pieces: Sequence[ArrayLike], cuts: Sequence[int]):
+        """Fill the distance matrix from per-piece tables glued along a tree.
+
+        pieces holds vertex arrays, root piece first; cuts[0] is -1 and
+        cuts[i] is the one vertex piece i shares with the pieces before it.
+        The caller guarantees that every path from piece i to an earlier piece
+        passes through cuts[i] and that every piece's induced subgraph is
+        connected and convex, which a validated tree-graded space does. Then
+        d(x, y) = d(x, c) + d_P(c, y) for x placed before piece P and y in P,
+        so every entry comes from one piece table and one placed entry. Does
+        nothing when the matrix is already filled.
+        """
+        if self._matrix is not None:
+            return
+        n = self.vertex_count
+        sp = self._sparse()
+        dist = np.empty((n, n), dtype=np.int32)
+        placed = np.zeros(n, dtype=bool)
+        for verts, cut in zip(pieces, cuts):
+            verts = np.unique(self._vertex_array(verts))
+            fresh = verts != cut
+            new, before = verts[fresh], np.flatnonzero(placed)
+            if before.size and (fresh.all() or not placed[cut]):
+                raise GraphError(f"cut vertex {cut} is not shared with an earlier piece")
+            if placed[new].any():
+                raise GraphError(f"piece {verts.tolist()[:4]} overlaps the earlier pieces beyond its cut")
+            local = _all_pairs(sp[verts][:, verts])
+            if before.size:
+                outward = dist[before, cut][:, None] + local[verts == cut][:, fresh]
+                dist[_block(before, new)] = outward
+                dist[_block(new, before)] = outward.T
+            dist[_block(new, new)] = local[np.ix_(fresh, fresh)]
+            placed[new] = True
+        if not placed.all():
+            raise GraphError(f"vertex {int(np.argmin(placed))} lies in no piece")
+        self._matrix = dist
 
     def dist_row(self, u: int) -> np.ndarray:
         """Distances from u to every vertex, as an int32 array."""
@@ -172,6 +242,10 @@ class Graph:
         if cols is None:
             return self._ensure_matrix()[rows]
         return self._ensure_matrix()[np.ix_(rows, self._vertex_array(cols))]
+
+    def dist_pairs(self, us: ArrayLike, vs: ArrayLike) -> np.ndarray:
+        """int32 distances d(us[i], vs[i]), pair by pair, for equal-length us and vs."""
+        return self._ensure_matrix()[self._vertex_array(us), self._vertex_array(vs)]
 
     def _vertex_array(self, vertices: ArrayLike) -> np.ndarray:
         arr = np.asarray(vertices, dtype=np.int64)

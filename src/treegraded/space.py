@@ -15,6 +15,22 @@ loop into a single piece, and T1 makes cut vertices the only piece overlaps.
 Projections onto a piece are answered from the gluing tree in O(tree depth);
 the brute-force nearest-vertex computation lives in oracles.py as a test-side
 check, not here.
+
+CONVEX follows from the other four, so validate checks it by an ambient pass
+only when one of them fails (the pass then adds witnesses). Proof: let c be a
+vertex of piece P and B a branch of the incidence tree hanging off the cut node
+c away from P. Every edge lies in one piece (EDGE_COVER), so it joins two
+vertices of one piece; and a vertex other than c lying in pieces on both sides
+of c would close a cycle through c in the incidence structure, which TREE
+forbids. So every path from P into B leaves P at c and can only come back
+through c: c separates B from P. A geodesic between two vertices of P is a
+simple path, so it never leaves P, and every edge it uses has both ends in P
+and belongs to P (by T1 no other piece holds two vertices of P). Hence
+piece-internal distances equal ambient ones. The same separation gives
+d(x, y) = d(x, c) + d_P(c, y) for y in P and x on the far side of c, so a
+successful validate composes the ambient distance matrix from the pieces' own
+tables along the gluing tree (Graph.compose_distances), and never runs a
+shortest-path search over the whole graph.
 """
 
 from __future__ import annotations
@@ -178,7 +194,16 @@ class Space:
         violations += self._check_edge_cover()
         violations += self._check_t1()
         violations += self._check_tree()
-        violations += self._check_convex()
+        if violations:
+            violations += self._check_convex()
+        else:
+            # CONVEX holds by the theorem in the module docstring
+            self._tree = self._build_gluing_tree()
+            placement = list(self._tree.piece_parent.items())
+            self.graph.compose_distances(
+                [sorted(self.pieces[pid]) for pid, _ in placement],
+                [-1 if cut is None else cut for _, cut in placement],
+            )
         self._report = ValidationReport(tuple(violations))
         return self._report
 
@@ -299,30 +324,35 @@ class Space:
     # -- gluing tree and projections ---------------------------------------------
 
     def gluing_tree(self) -> PieceTree:
+        """The gluing tree, built by a successful validate; raises on an invalid space."""
         if self._tree is None:
             self.require_valid()
-            root = min(self.pieces_of_vertex[self.basepoint])
-            piece_parent: dict[int, int | None] = {root: None}
-            cut_parent: dict[int, int] = {}
-            piece_depth = {root: 0}
-            cut_depth: dict[int, int] = {}
-            queue = deque([root])
-            while queue:
-                pid = queue.popleft()
-                for v in sorted(self.pieces[pid]):
-                    if len(self.pieces_of_vertex[v]) < 2 or v in cut_parent:
-                        continue
-                    if piece_parent.get(pid) == v:
-                        continue  # the cut we came through
-                    cut_parent[v] = pid
-                    cut_depth[v] = piece_depth[pid] + 1
-                    for q in self.pieces_of_vertex[v]:
-                        if q not in piece_parent:
-                            piece_parent[q] = v
-                            piece_depth[q] = cut_depth[v] + 1
-                            queue.append(q)
-            self._tree = PieceTree(root, piece_parent, cut_parent, piece_depth, cut_depth)
         return self._tree
+
+    def _build_gluing_tree(self) -> PieceTree:
+        """Piece / cut-vertex tree by BFS from the basepoint's piece; piece_parent
+        lists every piece after the piece holding its parent cut."""
+        root = min(self.pieces_of_vertex[self.basepoint])
+        piece_parent: dict[int, int | None] = {root: None}
+        cut_parent: dict[int, int] = {}
+        piece_depth = {root: 0}
+        cut_depth: dict[int, int] = {}
+        queue = deque([root])
+        while queue:
+            pid = queue.popleft()
+            for v in sorted(self.pieces[pid]):
+                if len(self.pieces_of_vertex[v]) < 2 or v in cut_parent:
+                    continue
+                if piece_parent.get(pid) == v:
+                    continue  # the cut we came through
+                cut_parent[v] = pid
+                cut_depth[v] = piece_depth[pid] + 1
+                for q in self.pieces_of_vertex[v]:
+                    if q not in piece_parent:
+                        piece_parent[q] = v
+                        piece_depth[q] = cut_depth[v] + 1
+                        queue.append(q)
+        return PieceTree(root, piece_parent, cut_parent, piece_depth, cut_depth)
 
     def project(self, pid: int, x: int) -> int:
         """Nearest vertex of piece pid to x (the projection onto the piece).

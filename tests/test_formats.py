@@ -5,7 +5,8 @@ from __future__ import annotations
 import io
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from treegraded import formats
 from treegraded.formats import (
@@ -16,8 +17,9 @@ from treegraded.formats import (
     write_coloring,
     write_space,
 )
+from treegraded.space import Space
 
-from conftest import small_spaces, tripod_space
+from conftest import chain_of_three_paths, small_spaces, tripod_space
 
 GOOD = """tgspace 1
 vertices 4
@@ -136,3 +138,99 @@ def test_write_to_disk(tmp_path):
     write_space(space, str(path), {"seed": 1})
     again = read_space(str(path))
     assert space_to_text(again) == space_to_text(space)
+
+
+def test_non_utf8_file_is_format_error(tmp_path):
+    path = tmp_path / "bad.tgspace"
+    path.write_bytes(GOOD.replace("2 2 3", "2 2 \xff3").encode("latin-1"))
+    for reader in (read_space, read_coloring):
+        with pytest.raises(FormatError) as err:
+            reader(str(path))
+        assert "not UTF-8 text" in str(err.value)
+
+
+# -- fuzzing: every input ends in FormatError or a valid object -------------------
+
+WRITTEN = (
+    GOOD,
+    space_to_text(tripod_space(arm=2), {"seed": 3}),
+    space_to_text(chain_of_three_paths()),
+    "tgcolor 1\n0 1\n1 0\n2 3\n",
+)
+TOKENS = st.one_of(
+    st.integers(min_value=-3, max_value=12).map(str),
+    st.sampled_from(["", "x", "-0", "1_0", "\u0663", "9" * 30, "0x1", "1e3", "#", "tgspace", "edges", "tgcolor"]),
+    st.text(max_size=4),
+)
+
+
+@st.composite
+def near_valid_texts(draw) -> str:
+    """A written space or coloring with a few lines dropped, doubled, swapped or
+    with one token replaced or appended."""
+    lines = draw(st.sampled_from(WRITTEN)).splitlines()
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        i = draw(st.integers(min_value=0, max_value=len(lines) - 1)) if lines else 0
+        op = draw(st.sampled_from(["drop", "double", "swap", "replace", "append"]))
+        if not lines:
+            lines = [draw(TOKENS)]
+        elif op == "drop":
+            del lines[i]
+        elif op == "double":
+            lines.insert(i, lines[i])
+        elif op == "swap":
+            j = draw(st.integers(min_value=0, max_value=len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        else:
+            parts = lines[i].split()
+            if op == "append" or not parts:
+                parts.append(draw(TOKENS))
+            else:
+                parts[draw(st.integers(min_value=0, max_value=len(parts) - 1))] = draw(TOKENS)
+            lines[i] = " ".join(parts)
+    return "\n".join(lines) + draw(st.sampled_from(["\n", "", "\r\n"]))
+
+
+def assert_format_error_or_valid(text: str):
+    try:
+        space = read_space(io.StringIO(text))
+    except FormatError:
+        pass
+    else:
+        assert isinstance(space, Space)
+        assert space_to_text(read_space(io.StringIO(space_to_text(space)))) == space_to_text(space)
+    try:
+        colors = read_coloring(io.StringIO(text))
+    except FormatError:
+        pass
+    else:
+        assert all(type(v) is int and type(c) is int and c >= 0 for v, c in colors.items())
+        buf = io.StringIO()
+        write_coloring(colors, buf)
+        assert read_coloring(io.StringIO(buf.getvalue())) == colors
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text())
+def test_fuzz_arbitrary_text(text):
+    assert_format_error_or_valid(text)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(near_valid_texts())
+def test_fuzz_near_valid_mutations(text):
+    assert_format_error_or_valid(text)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(WRITTEN), st.binary(min_size=1, max_size=3), st.data())
+def test_fuzz_bytes_on_disk(tmp_path_factory, text, junk, data):
+    raw = text.encode()
+    at = data.draw(st.integers(min_value=0, max_value=len(raw)))
+    path = tmp_path_factory.mktemp("fuzz") / "input"
+    path.write_bytes(raw[:at] + junk + raw[at:])
+    for reader in (read_space, read_coloring):
+        try:
+            reader(str(path))
+        except FormatError:
+            pass

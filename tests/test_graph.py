@@ -33,6 +33,8 @@ class TestShortestDist:
             path_graph(3).dist_block([0], [-1])
         with pytest.raises(GraphError):
             path_graph(3).dist_block([3])
+        with pytest.raises(GraphError):
+            path_graph(3).dist_pairs([0, 1], [2, 3])
 
     @settings(max_examples=40, deadline=None)
     @given(connected_graphs(max_n=24), st.data())
@@ -53,6 +55,8 @@ class TestShortestDist:
         rows, cols = data.draw(vertices), data.draw(vertices)
         assert g.dist_block(rows, cols).tolist() == [[ref[u][v] for v in cols] for u in rows]
         assert g.dist_block(rows).tolist() == [ref[u] for u in rows]
+        cols = (cols * len(rows))[: len(rows)]
+        assert g.dist_pairs(rows, cols).tolist() == [ref[u][v] for u, v in zip(rows, cols)]
 
     def test_long_cycle_spans_several_source_blocks(self):
         # 3,000 vertices fill the matrix in three blocks of source rows
@@ -71,6 +75,22 @@ class TestShortestDist:
         expect = np.stack([closed_form(u) for u in rows])
         assert np.array_equal(g.dist_block(rows), expect)
         assert np.array_equal(g.dist_block(rows, cols), expect[:, cols])
+
+
+class TestComposeDistances:
+    @pytest.mark.parametrize(
+        "pieces, cuts",
+        [
+            ([[0, 1], [2, 3], [1, 2]], [-1, 2, 1]),  # cut 2 is placed only later
+            ([[0, 1], [1, 2], [2, 3]], [-1, 1, 1]),  # cut 1 is not in piece {2,3}
+            ([[0, 1], [1, 2]], [-1, 1]),  # vertex 3 lies in no piece
+            ([[0, 1, 2], [1, 2, 3]], [-1, 1]),  # the pieces share 2 as well as the cut
+            ([[0, 1], [2, 3], [1, 2]], [-1, -1, 1]),  # a second root
+        ],
+    )
+    def test_bad_placements_rejected(self, pieces, cuts):
+        with pytest.raises(GraphError):
+            path_graph(4).compose_distances([np.array(p) for p in pieces], cuts)
 
 
 class TestCanonicalGeodesic:

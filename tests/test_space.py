@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from treegraded.forge import PieceTemplate, gen_free_product_model, subdivide_space
 from treegraded.graph import Graph
-from treegraded.oracles import brute_nearest_set, brute_project, find_crossing_cycle
-from treegraded.space import InvalidSpaceError, Space
+from treegraded.oracles import bfs_dists, brute_nearest_set, brute_project, find_crossing_cycle
+from treegraded.space import InvalidSpaceError, Space, Violation
 
 from conftest import (
+    TEMPLATE_POOL,
     chain_of_three_paths,
     edge_piece_path,
     path_graph,
@@ -75,14 +79,78 @@ class TestValidate:
         # square with a chord path outside the piece: piece {0,2} misses edges
         g = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
         space = Space(g, [{0, 1, 2}, {2, 3}, {0, 3}], 0)
-        report = space.validate()
-        assert not report.ok
-        assert any(v.axiom in ("CONVEX", "TREE") for v in report.violations)
+        assert space.validate().violations == (
+            Violation("TREE", {"reason": "cycle among pieces", "incidences": 6, "nodes": 6}),
+        )
+
+    def test_convex_witnesses_when_tree_fails(self):
+        # pentagon: the path piece {0,1,2,3} has d_P(0,3) = 3, but 0-4-3 is shorter
+        g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
+        space = Space(g, [{0, 1, 2, 3}, {3, 4}, {0, 4}], 0)
+        assert space.validate().violations == (
+            Violation("TREE", {"reason": "cycle among pieces", "incidences": 6, "nodes": 6}),
+            Violation("CONVEX", {"piece": 0, "pair": (0, 3), "internal": 3, "ambient": 2}),
+        )
 
     @settings(max_examples=40, deadline=None)
     @given(small_spaces())
     def test_generated_spaces_valid(self, space: Space):
         assert space.validate().ok
+
+
+def assert_composed_metric(space: Space):
+    """validate fills the distance matrix from the pieces; it must equal the
+    generic all-sources fill and the BFS oracle, and every piece-internal
+    oracle distance must equal the ambient one (CONVEX)."""
+    g = space.graph
+    n = g.vertex_count
+    assert g._matrix is None
+    assert space.validate().ok
+    assert g._matrix is not None  # filled by the composition, before any query
+    composed = g.dist_block(np.arange(n))
+    assert np.array_equal(composed, Graph(n, g.edges).dist_block(np.arange(n)))
+    for v in range(n):
+        assert composed[v].tolist() == bfs_dists(g, v)
+    for piece in space.pieces:
+        members = sorted(piece)
+        local = {v: i for i, v in enumerate(members)}
+        sub = Graph(len(members), [(local[u], local[v]) for u, v in g.edges if u in piece and v in piece])
+        for i, v in enumerate(members):
+            assert bfs_dists(sub, i) == composed[v, members].tolist()
+
+
+class TestComposedMetric:
+    def test_tripod_from_tip(self):
+        assert_composed_metric(tripod_space(arm=3, basepoint=tripod_tip(3, 1)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_spaces())
+    def test_generated_spaces(self, space: Space):
+        assert_composed_metric(space)
+
+    @settings(max_examples=20, deadline=None)
+    @given(small_spaces(max_budget=4), st.integers(min_value=2, max_value=3))
+    def test_subdivided_spaces(self, space: Space, k: int):
+        assert_composed_metric(subdivide_space(space, k))
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        st.sampled_from(TEMPLATE_POOL),
+        st.sampled_from(TEMPLATE_POOL),
+        st.integers(min_value=1, max_value=3),
+        st.integers(min_value=0, max_value=2**32),
+    )
+    def test_free_product_models(self, left: str, right: str, depth: int, seed: int):
+        space = gen_free_product_model(
+            PieceTemplate.parse(left), PieceTemplate.parse(right), depth, attach_spacing=2, seed=seed
+        )
+        assert_composed_metric(space)
+
+    def test_matrix_filled_before_validation_is_kept(self):
+        space = tripod_space(arm=2)
+        before = space.graph.dist_block(range(space.graph.vertex_count)).copy()
+        assert space.validate().ok
+        assert np.array_equal(space.graph.dist_block(range(space.graph.vertex_count)), before)
 
 
 class TestGluingTree:
