@@ -50,25 +50,6 @@ def _all_pairs(sp: csr_matrix) -> np.ndarray:
     return dist
 
 
-def _block(rows: np.ndarray, cols: np.ndarray):
-    """Index of the rows x cols block of a matrix, for sorted vertex arrays.
-
-    An array of consecutive ids becomes a slice, which numpy writes several
-    times faster than a fancy index; generated pieces number their vertices
-    consecutively.
-    """
-    rows, cols = _as_range(rows), _as_range(cols)
-    if isinstance(rows, slice) or isinstance(cols, slice):
-        return rows, cols
-    return np.ix_(rows, cols)
-
-
-def _as_range(ids: np.ndarray) -> np.ndarray | slice:
-    if ids.size and ids[-1] - ids[0] + 1 == ids.size:
-        return slice(int(ids[0]), int(ids[-1]) + 1)
-    return ids
-
-
 class GraphError(ValueError):
     """Malformed graph or invalid vertex id."""
 
@@ -222,9 +203,9 @@ class Graph:
             local = _all_pairs(sp[verts][:, verts])
             if before.size:
                 outward = dist[before, cut][:, None] + local[verts == cut][:, fresh]
-                dist[_block(before, new)] = outward
-                dist[_block(new, before)] = outward.T
-            dist[_block(new, new)] = local[np.ix_(fresh, fresh)]
+                dist[np.ix_(before, new)] = outward
+                dist[np.ix_(new, before)] = outward.T
+            dist[np.ix_(new, new)] = local[np.ix_(fresh, fresh)]
             placed[new] = True
         if not placed.all():
             raise GraphError(f"vertex {int(np.argmin(placed))} lies in no piece")
@@ -245,7 +226,10 @@ class Graph:
 
     def dist_pairs(self, us: ArrayLike, vs: ArrayLike) -> np.ndarray:
         """int32 distances d(us[i], vs[i]), pair by pair, for equal-length us and vs."""
-        return self._ensure_matrix()[self._vertex_array(us), self._vertex_array(vs)]
+        us, vs = self._vertex_array(us), self._vertex_array(vs)
+        if us.shape != vs.shape:
+            raise GraphError(f"dist_pairs needs equal shapes, got {us.shape} and {vs.shape}")
+        return self._ensure_matrix()[us, vs]
 
     def _vertex_array(self, vertices: ArrayLike) -> np.ndarray:
         arr = np.asarray(vertices, dtype=np.int64)

@@ -35,6 +35,8 @@ class TestShortestDist:
             path_graph(3).dist_block([3])
         with pytest.raises(GraphError):
             path_graph(3).dist_pairs([0, 1], [2, 3])
+        with pytest.raises(GraphError):
+            path_graph(3).dist_pairs([0, 1], [2])
 
     @settings(max_examples=40, deadline=None)
     @given(connected_graphs(max_n=24), st.data())
