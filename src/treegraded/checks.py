@@ -177,10 +177,8 @@ def check_projection_stability(ana: SpaceAnalysis, rng: SplitMix64, samples: int
     g = space.graph
     n = g.vertex_count
     k = len(space.pieces)
-    draws = np.array(
-        [(rng.randint(0, n - 1), rng.randint(0, n - 1), rng.randint(0, k - 1)) for _ in range(samples)],
-        dtype=np.int64,
-    ).reshape(samples, 3)
+    # per sample, in order: x in [0, n), y in [0, n), piece in [0, k)
+    draws = rng.randint_block(0, np.tile([n - 1, n - 1, k - 1], (samples, 1))).astype(np.int64)
     xs, ys, pids = draws.T
     res.checked += samples
     to_piece = np.empty(samples, dtype=np.int64)

@@ -207,7 +207,7 @@ def classify_piece(space: Space, pid: int) -> PieceShape:
             nxt = adj[cur][0] if adj[cur][0] != prev else adj[cur][1]
             order.append(nxt)
         return PieceShape("cycle", anchor=start, cycle_order=tuple(order))
-    coords = _grid_coordinates(piece, adj)
+    coords = _grid_coordinates(piece, adj) or _subdivided_grid_coordinates(piece, adj)
     if coords is not None:
         anchor = next(v for v, ij in coords.items() if ij == (0, 0))
         return PieceShape("grid", anchor=anchor, grid_coords=coords)
@@ -270,6 +270,51 @@ def _grid_coordinates(
             iw, jw = coords[w]
             if abs(iv - iw) + abs(jv - jw) != 1:
                 return None
+    return coords
+
+
+def _subdivided_grid_coordinates(
+    piece: frozenset[int], adj: Mapping[int, Sequence[int]]
+) -> dict[int, tuple[int, int]] | None:
+    """Coordinatize a grid whose every edge is a path of k >= 2 edges, or
+    return None.
+
+    Its branch vertices (degree >= 3) are joined by threads of degree-2
+    vertices. Cut at every k-th step, the threads make a plain grid whose
+    corners are the cut points inside threads. Grid vertices sit on a k-spaced
+    lattice and thread vertices are interpolated along their edge.
+    """
+    threads = []
+    for a in sorted(v for v in piece if len(adj[v]) > 2):
+        for w in adj[a]:
+            thread = [a, w]
+            while len(adj[thread[-1]]) == 2:
+                x, y = adj[thread[-1]]
+                thread.append(x if x != thread[-2] else y)
+            if len(adj[thread[-1]]) < 2 or thread[-1] == a:
+                return None
+            if (a, w) < (thread[-1], thread[-2]):  # each thread once
+                threads.append(thread)
+    if not threads:
+        return None
+    k = min(len(t) - 1 for t in threads)
+    if k < 2 or any((len(t) - 1) % k for t in threads):
+        return None
+    edges = [t[i : i + k + 1] for t in threads for i in range(0, len(t) - 1, k)]
+    coarse_adj: dict[int, list[int]] = {}
+    for e in edges:
+        coarse_adj.setdefault(e[0], []).append(e[-1])
+        coarse_adj.setdefault(e[-1], []).append(e[0])
+    coarse = _grid_coordinates(frozenset(coarse_adj), {v: sorted(ws) for v, ws in coarse_adj.items()})
+    if coarse is None:
+        return None
+    coords = {}
+    for e in edges:
+        (i0, j0), (i1, j1) = coarse[e[0]], coarse[e[-1]]
+        for t, v in enumerate(e):
+            coords[v] = (k * i0 + t * (i1 - i0), k * j0 + t * (j1 - j0))
+    if len(set(coords.values())) != len(piece):
+        return None
     return coords
 
 

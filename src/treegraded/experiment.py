@@ -16,9 +16,11 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import multiprocessing
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import IO, Sequence
 
@@ -198,6 +200,37 @@ def _space_record(args: tuple[int, SpaceSource, ExperimentConfig]) -> dict:
     return record
 
 
+def _pooled_records(tasks: list[tuple[int, SpaceSource, ExperimentConfig]], workers: int) -> list[dict]:
+    """_space_record of every task, in order, from a pool of worker processes.
+
+    A worker that dies breaks the pool, which then fails every task it still
+    held. Each of those runs again alone in a fresh process; a space whose
+    process dies there too is recorded as errored. Workers are spawned, not
+    forked, so none inherits the threads of numerical libraries.
+    """
+    spawn = multiprocessing.get_context("spawn")
+    records: dict[int, dict] = {}
+    lost = []
+    with ProcessPoolExecutor(max_workers=workers, mp_context=spawn) as pool:
+        futures = [(task, pool.submit(_space_record, task)) for task in tasks]
+        for task, future in futures:
+            try:
+                records[task[0]] = future.result()
+            except BrokenProcessPool:
+                lost.append(task)
+    for index, source, config in lost:
+        with ProcessPoolExecutor(max_workers=1, mp_context=spawn) as pool:
+            try:
+                records[index] = pool.submit(_space_record, (index, source, config)).result()
+            except BrokenProcessPool as exc:
+                records[index] = {
+                    "space": source.name,
+                    "source": source.describe(),
+                    "error": f"worker lost: {exc}",
+                }
+    return [records[task[0]] for task in tasks]
+
+
 def _cell_record(
     ana: checks.SpaceAnalysis,
     config: ExperimentConfig,
@@ -259,8 +292,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
     config = apply_env_seed(config)
     tasks = [(i, src, config) for i, src in enumerate(config.sources)]
     if config.parallelism > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=config.parallelism) as pool:
-            spaces = list(pool.map(_space_record, tasks))
+        spaces = _pooled_records(tasks, config.parallelism)
     else:
         spaces = [_space_record(t) for t in tasks]
     report = {

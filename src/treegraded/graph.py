@@ -6,19 +6,41 @@ ChainPredicate: strict chains step d < r, weak chains step d <= r. All
 distances are measured in the ambient graph even when an operation is
 restricted to a vertex subset.
 
+Every route runs on one symmetric float64 CSR adjacency matrix, built with
+the graph. Scipy's dijkstra is called on it with directed=True: the matrix is
+already symmetric, and the call then neither re-casts nor transposes it.
+
 All-pairs distances are one int32 matrix, and only this module writes or
 knows that layout: callers read it through dist_row, dist_block and
 dist_pairs. It is filled one of two ways:
 
   composed   when a validated tree-graded Space hands over its placement
-             (compose_distances): scipy's C shortest-path routine runs on each
-             piece's induced subgraph alone, and the pieces' tables are glued
-             along the gluing tree through their cut vertices;
+             (compose_distances): scipy runs on each piece's induced subgraph
+             alone, and the pieces' tables are glued along the gluing tree
+             through their cut vertices;
   generic    on the first distance query of any other graph: scipy runs from
              every source over the whole graph, a block of source rows at a
              time.
 
 Both give the same exact integer matrix on a tree-graded space.
+
+The two measurement queries never allocate an array of |S|^2 entries for a
+vertex set S:
+
+  scale_components   one multi-source BFS from all of S to depth floor(s/2),
+                     s the chain step, gives every reached vertex w its
+                     distance delta(w) to S and a nearest member src(w). Each
+                     edge (w, w') with delta(w) + 1 + delta(w') <= s joins
+                     src(w) and src(w'). This is sound by the triangle
+                     inequality. It is complete: on a geodesic p_0 .. p_L
+                     between members with L <= s, delta(p_j) <= min(j, L - j),
+                     so every p_j is reached and every edge of it joins. No
+                     distance matrix is read.
+  diameter_witness   the first maximum, row-major, of the sorted |S| x |S|
+                     distance block, read from matrix rows one block of at
+                     most _BLOCK_ENTRIES entries at a time. Its pair (x, y) is
+                     the first member x of largest eccentricity within S and
+                     the first member y at that distance from x.
 """
 
 from __future__ import annotations
@@ -30,24 +52,47 @@ import numpy as np
 from numpy.typing import ArrayLike
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components as _sparse_components
-from scipy.sparse.csgraph import shortest_path as _sparse_shortest_path
+from scipy.sparse.csgraph import dijkstra as _dijkstra
 
-# entries per block of source rows in an all-pairs build: scipy returns each
-# block as float64, so this keeps its temporary near 32 MB at any graph size
+# entries per block of rows: in an all-pairs build scipy returns each block as
+# float64, so this keeps its temporary near 32 MB at any graph size, and
+# diameter_witness copies int32 blocks of at most this many entries
 _BLOCK_ENTRIES = 2**22
 
 
 def _all_pairs(sp: csr_matrix) -> np.ndarray:
-    """int32 all-pairs distances of the connected unit-edge graph sp."""
+    """int32 all-pairs distances of the connected unit-edge graph sp
+    (symmetric float64 CSR with unit weights)."""
     n = sp.shape[0]
     height = max(1, _BLOCK_ENTRIES // n)
     dist = np.empty((n, n), dtype=np.int32)
     for lo in range(0, n, height):
         hi = min(lo + height, n)
-        dist[lo:hi] = _sparse_shortest_path(
-            sp, method="D", unweighted=True, directed=False, indices=np.arange(lo, hi)
-        )
+        dist[lo:hi] = _dijkstra(sp, directed=True, indices=np.arange(lo, hi))
     return dist
+
+
+def _union_labels(k: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Component labels of nodes 0..k-1 joined by the pairs (a[i], b[i]).
+
+    Each node is labelled with the smallest node of its component. Every round
+    hooks the larger root of each joined pair onto the smaller one, then jumps
+    pointers until every node points at a root; pointers only decrease, so the
+    roots are the component minima.
+    """
+    labels = np.arange(k)
+    while True:
+        la, lb = labels[a], labels[b]
+        differ = la != lb
+        if not differ.any():
+            return labels
+        la, lb = la[differ], lb[differ]
+        np.minimum.at(labels, np.maximum(la, lb), np.minimum(la, lb))
+        while True:
+            up = labels[labels]
+            if np.array_equal(up, labels):
+                break
+            labels = up
 
 
 class GraphError(ValueError):
@@ -132,7 +177,7 @@ def normalize_edge(u: int, v: int) -> tuple[int, int]:
 class Graph:
     """Immutable connected unit-edge graph with cached metric queries."""
 
-    __slots__ = ("vertex_count", "edges", "adj", "_matrix")
+    __slots__ = ("vertex_count", "edges", "adj", "_ends", "_csr", "_matrix")
 
     def __init__(self, vertex_count: int, edges: Iterable[tuple[int, int]]):
         if vertex_count < 1:
@@ -151,27 +196,26 @@ class Graph:
             adj[u].append(v)
             adj[v].append(u)
         self.adj = tuple(tuple(sorted(a)) for a in adj)
+        us = np.fromiter((u for u, _ in norm), dtype=np.int64, count=len(norm))
+        vs = np.fromiter((v for _, v in norm), dtype=np.int64, count=len(norm))
+        self._ends = (us, vs)
+        self._csr = csr_matrix(
+            (np.ones(2 * len(norm)), (np.concatenate([us, vs]), np.concatenate([vs, us]))),
+            shape=(vertex_count, vertex_count),
+        )
         self._matrix: np.ndarray | None = None
         self._check_connected()
 
-    def _sparse(self) -> csr_matrix:
-        n = self.vertex_count
-        if not self.edges:
-            return csr_matrix((n, n), dtype=np.int8)
-        us, vs = zip(*self.edges)
-        row = np.fromiter(us + vs, dtype=np.int32)
-        col = np.fromiter(vs + us, dtype=np.int32)
-        return csr_matrix((np.ones(len(row), dtype=np.int8), (row, col)), shape=(n, n))
-
     def _check_connected(self):
-        _, labels = _sparse_components(self._sparse(), directed=False)
+        # the matrix is symmetric, so its strong components are the components
+        _, labels = _sparse_components(self._csr, directed=True, connection="strong")
         missing = np.nonzero(labels != labels[0])[0]
         if missing.size:
             raise GraphError(f"graph is disconnected (vertex {int(missing[0])} unreachable from 0)")
 
     def _ensure_matrix(self) -> np.ndarray:
         if self._matrix is None:
-            self._matrix = _all_pairs(self._sparse())
+            self._matrix = _all_pairs(self._csr)
         return self._matrix
 
     def compose_distances(self, pieces: Sequence[ArrayLike], cuts: Sequence[int]):
@@ -189,7 +233,7 @@ class Graph:
         if self._matrix is not None:
             return
         n = self.vertex_count
-        sp = self._sparse()
+        sp = self._csr
         dist = np.empty((n, n), dtype=np.int32)
         placed = np.zeros(n, dtype=bool)
         for verts, cut in zip(pieces, cuts):
@@ -292,38 +336,54 @@ class Graph:
     def set_diameter(self, subset: Iterable[int]) -> int:
         return self.diameter_witness(subset)[0]
 
+    def _members(self, subset: Iterable[int]) -> np.ndarray:
+        """Sorted distinct vertex ids of subset, checked."""
+        return self._vertex_array(sorted(set(subset)))
+
     def diameter_witness(self, subset: Iterable[int]) -> tuple[int, tuple[int, int]]:
-        """Max pairwise ambient distance plus the first achieving pair."""
-        idx = sorted(set(subset))
-        if not idx:
+        """Max pairwise ambient distance plus the first achieving pair
+        (row-major, over the sorted subset)."""
+        arr = self._members(subset)
+        if not arr.size:
             raise GraphError("diameter of an empty subset")
-        for v in idx:
-            self.check_vertex(v)
-        arr = np.asarray(idx, dtype=np.int64)
-        sub = self.dist_block(arr, arr)
-        flat = int(np.argmax(sub))
-        i, j = divmod(flat, len(arr))
-        return int(sub[i, j]), (int(arr[i]), int(arr[j]))
+        dist = self._ensure_matrix()
+        height = max(1, _BLOCK_ENTRIES // arr.size)
+        best, pair = -1, (0, 0)
+        for lo in range(0, arr.size, height):
+            block = dist[np.ix_(arr[lo : lo + height], arr)]
+            i, j = divmod(int(np.argmax(block)), arr.size)
+            if block[i, j] > best:
+                best, pair = int(block[i, j]), (int(arr[lo + i]), int(arr[j]))
+            del block  # so that the next block is never held beside this one
+        return best, pair
 
     def scale_components(self, subset: Iterable[int], pred: ChainPredicate) -> list[frozenset[int]]:
         """Partition of subset into maximal scale-r connected components under pred.
 
         Distances are ambient; parts come back sorted by their smallest vertex.
         """
-        idx = sorted(set(subset))
-        for v in idx:
-            self.check_vertex(v)
-        if not idx:
+        members = self._members(subset)
+        if not members.size:
             return []
-        if len(idx) == 1:
-            return [frozenset(idx)]
-        sub = self.dist_block(idx, idx)
-        reach = csr_matrix(sub <= pred.max_step)
-        _, labels = _sparse_components(reach, directed=False)
-        groups: dict[int, list[int]] = {}
-        for local, lab in enumerate(labels):
-            groups.setdefault(int(lab), []).append(idx[local])
-        return sorted((frozenset(g) for g in groups.values()), key=min)
+        if members.size == 1:
+            return [frozenset(members.tolist())]
+        step = pred.max_step
+        delta, _, nearest = _dijkstra(
+            self._csr, directed=True, indices=members, min_only=True,
+            return_predecessors=True, limit=step // 2,
+        )
+        us, vs = self._ends
+        joined = delta[us] + delta[vs] < step  # delta(w) + 1 + delta(w') <= step
+        labels = _union_labels(
+            members.size,
+            np.searchsorted(members, nearest[us[joined]]),
+            np.searchsorted(members, nearest[vs[joined]]),
+        )
+        # a label is its part's smallest member, so parts appear by smallest vertex
+        parts: dict[int, list[int]] = {}
+        for v, label in zip(members.tolist(), labels.tolist()):
+            parts.setdefault(label, []).append(v)
+        return [frozenset(part) for part in parts.values()]
 
     def diameter(self) -> int:
         return self.set_diameter(range(self.vertex_count))

@@ -11,12 +11,18 @@ delegating to a runtime's default RNG:
     output = z XOR (z >> 31)
 
 Bounded draws use plain modulo reduction (the tiny bias is irrelevant here;
-reproducibility is what matters).
+reproducibility is what matters). Since randint reduces the raw output by its
+range, the raw stream does not depend on the ranges: randint_block computes a
+run of it at once in numpy uint64, whose arithmetic wraps mod 2^64 like the
+recurrence, and reduces each draw by its own range afterwards.
 """
 
 from __future__ import annotations
 
 from typing import Sequence, TypeVar
+
+import numpy as np
+from numpy.typing import ArrayLike
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -42,6 +48,25 @@ class SplitMix64:
         if hi < lo:
             raise ValueError(f"empty range [{lo}, {hi}]")
         return lo + self.next_u64() % (hi - lo + 1)
+
+    def randint_block(self, lo: ArrayLike, hi: ArrayLike) -> np.ndarray:
+        """randint(lo[i], hi[i]) for every i in row-major order, as one uint64
+        array of the broadcast shape; the state ends where the scalar draws
+        would leave it. Bounds must satisfy 0 <= lo <= hi < 2^64."""
+        lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=np.uint64), np.asarray(hi, dtype=np.uint64))
+        if (hi < lo).any():
+            raise ValueError("empty range in block draw")
+        count = lo.size
+        with np.errstate(over="ignore"):
+            z = np.uint64(self._state) + np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+            z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+            z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+            z ^= z >> np.uint64(31)
+            span = hi - lo + np.uint64(1)  # 0 for the full range [0, 2^64)
+        self._state = (self._state + count * _GAMMA) & _MASK
+        full = span == 0
+        z = z.reshape(lo.shape)
+        return lo + np.where(full, z, z % np.where(full, 1, span))
 
     def choice(self, seq: Sequence[T]) -> T:
         if not seq:

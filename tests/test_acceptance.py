@@ -15,6 +15,7 @@ Criteria:
 
 from __future__ import annotations
 
+import hashlib
 import time
 
 import pytest
@@ -51,6 +52,8 @@ from conftest import edge_piece_path, path_graph
 R_SWEEP = (2, 4, 6, 8)
 CORPUS_SIZE = 50
 MAIN_SEED = 11
+# sha256 of report_to_json(strip_timing(...)) of the criterion-1 run
+MAIN_REPORT_SHA256 = "e3bca1ea39c14361ab649eda31ca3790b18173244d6fe2eaaacc71d64871c329"
 
 
 def announce(criterion: str, ok: bool, detail: str):
@@ -355,3 +358,7 @@ class TestCriterion7Determinism:
         ok = first == second
         announce("7", ok, f"reports byte-identical after timing strip ({len(second)} bytes)")
         assert ok
+
+    def test_report_digest_pinned(self, main_run):
+        text = report_to_json(strip_timing(main_run["report"]))
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == MAIN_REPORT_SHA256

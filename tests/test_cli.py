@@ -94,6 +94,20 @@ class TestGen:
 
 
 class TestColor:
+    def test_subdivided_grid_space_is_colored(self, tmp_path):
+        space, coloring = tmp_path / "s.tgspace", tmp_path / "s.tgcolor"
+        gen = run_cli(
+            "gen", "random", "--template", "grid:4x4", "--template", "path:6",
+            "--pieces", 4, "--seed", 1, "--subdivide", 2, "-o", space,
+        )
+        assert gen.returncode == 0
+        proc = run_cli("color", space, "--r", 2, "-o", coloring)
+        assert proc.returncode == 0, proc.stderr
+        piece_magnitude = int(proc.stdout.split("piece_magnitude=")[1].split()[0])
+        measured = run_cli("measure", space, coloring, "--r", 2)
+        assert measured.returncode == 0
+        assert json.loads(measured.stdout)["magnitude"] <= 300 * piece_magnitude
+
     def test_explain_period_boundary(self, tmp_path, path_space_file):
         out = tmp_path / "c.tgcolor"
         proc = run_cli(

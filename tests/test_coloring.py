@@ -23,7 +23,7 @@ from treegraded.coloring import (
     raw_piece_colorings,
     recolor_base_ball,
 )
-from treegraded.forge import ForgeSpec, PieceTemplate, gen_random
+from treegraded.forge import ForgeSpec, PieceTemplate, gen_random, subdivide_space
 from treegraded.graph import Graph, strict_chain, weak_chain
 from treegraded.oracles import brute_magnitude
 from treegraded.space import Space
@@ -156,6 +156,26 @@ class TestClassifyPiece:
         coords = shape.grid_coords
         assert coords is not None and len(coords) == 24
         assert {ij for ij in coords.values()} == {(i, j) for i in range(4) for j in range(6)}
+
+    @pytest.mark.parametrize("a, b, k", [(4, 6, 2), (2, 3, 3), (3, 3, 4), (5, 2, 2)])
+    def test_subdivided_grid(self, a, b, k):
+        plain = classify_piece(grid_space(a, b), 0).grid_coords
+        shape = classify_piece(subdivide_space(grid_space(a, b), k), 0)
+        assert shape.kind == "grid" and shape.anchor == 0
+        coords = shape.grid_coords
+        # grid vertices keep their ids on a k-spaced lattice
+        assert {v: coords[v] for v in plain} == {v: (k * i, k * j) for v, (i, j) in plain.items()}
+        # every subdivision vertex lies on the lattice segment of its edge
+        assert len(set(coords.values())) == len(coords) == a * b + (k - 1) * (2 * a * b - a - b)
+        assert all(i % k == 0 or j % k == 0 for i, j in coords.values())
+
+    def test_subdivided_non_grids_stay_unknown(self):
+        # a 3x3 grid with one extra diagonal, and a 2x3 grid missing a rung
+        chord = Graph(9, PieceTemplate("grid", 3, 3).build()[1] + [(0, 4)])
+        rungless = Graph(6, [(0, 1), (1, 2), (3, 4), (4, 5), (0, 3), (2, 5)])
+        for g in (chord, rungless):
+            space = subdivide_space(Space(g, [set(range(g.vertex_count))], 0), 2)
+            assert classify_piece(space, 0).kind in ("unknown", "cycle")
 
     def test_natural_color_count(self):
         assert natural_color_count(single_piece_path(4)) == 1

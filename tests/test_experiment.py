@@ -24,6 +24,14 @@ from treegraded.experiment import (
 from treegraded.forge import ForgeSpec, PieceTemplate
 
 
+@dataclasses.dataclass(frozen=True)
+class DyingSource(SpaceSource):
+    """A source whose load kills the worker process that runs it."""
+
+    def load(self):
+        os._exit(3)
+
+
 def tiny_sources(count=3, seed=60):
     return tuple(
         SpaceSource(
@@ -121,6 +129,17 @@ class TestReports:
         assert report["summary"]["errors"] == ["ghost"]
         assert report["summary"]["all_pass"] is False
         assert len([s for s in report["spaces"] if "cells" in s]) == 2
+
+    def test_lost_worker_recorded_and_run_continues(self):
+        good = tiny_sources(3)
+        doomed = DyingSource(name="doomed", forge=good[0].forge)
+        cfg = tiny_config(sources=good[:2] + (doomed,) + good[2:], parallelism=2, property_checks=False)
+        report = run_experiment(cfg)
+        assert report["summary"]["errors"] == ["doomed"]
+        assert report["spaces"][2]["error"].startswith("worker lost: ")
+        serial = run_experiment(tiny_config(sources=good, property_checks=False))
+        kept = [s for s in report["spaces"] if s["space"] != "doomed"]
+        assert strip_timing(kept) == strip_timing(serial["spaces"])
 
     def test_csv_fixed_columns(self):
         report = run_experiment(tiny_config())

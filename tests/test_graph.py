@@ -2,15 +2,50 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treegraded.graph import ChainPredicate, Graph, GraphError, Path, strict_chain, weak_chain
+from treegraded.forge import PieceTemplate, gen_free_product_model, subdivide_space
+from treegraded.graph import (
+    _BLOCK_ENTRIES,
+    ChainPredicate,
+    Graph,
+    GraphError,
+    Path,
+    strict_chain,
+    weak_chain,
+)
 from treegraded.oracles import brute_scale_components, floyd_warshall
 
-from conftest import connected_graphs, cycle_graph, path_graph
+from conftest import TEMPLATE_POOL, connected_graphs, cycle_graph, path_graph, small_spaces
+
+
+def _validated_graph(space) -> Graph:
+    assert space.validate().ok  # the matrix is composed along the gluing tree
+    return space.graph
+
+
+# graphs the measurement routes meet: generated, subdivided and free-product
+# spaces, plus plain cycles and paths, where Voronoi ties are common
+measured_graphs = st.one_of(
+    small_spaces(max_budget=4).map(_validated_graph),
+    st.builds(subdivide_space, small_spaces(max_budget=2), st.integers(2, 3)).map(_validated_graph),
+    st.builds(
+        lambda left, right, depth, seed: gen_free_product_model(
+            PieceTemplate.parse(left), PieceTemplate.parse(right), depth, attach_spacing=2, seed=seed
+        ),
+        st.sampled_from(TEMPLATE_POOL),
+        st.sampled_from(TEMPLATE_POOL),
+        st.integers(1, 2),
+        st.integers(0, 2**32),
+    ).map(_validated_graph),
+    st.integers(3, 40).map(cycle_graph),
+    st.integers(1, 40).map(path_graph),
+)
 
 
 class TestShortestDist:
@@ -176,6 +211,53 @@ class TestScaleComponents:
                 gap = min(g.shortest_dist(u, v) for u in a for v in b)
                 assert gap > pred.max_step
         assert parts == brute_scale_components(g, subset, pred)
+
+
+class TestMeasurementRoutes:
+    """The BFS route of scale_components and the blocked eccentricities of
+    diameter_witness against the brute-force oracles."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(measured_graphs, st.data())
+    def test_scale_components_match_brute_force(self, g: Graph, data):
+        n = g.vertex_count
+        subset = data.draw(st.sets(st.integers(0, n - 1), max_size=n))
+        for step in range(10):
+            preds = [strict_chain(step + 1)] + ([weak_chain(step)] if step else [])
+            for pred in preds:
+                assert g.scale_components(subset, pred) == brute_scale_components(g, subset, pred)
+
+    @settings(max_examples=40, deadline=None)
+    @given(measured_graphs, st.data())
+    def test_diameter_witness_is_first_row_major_maximum(self, g: Graph, data):
+        n = g.vertex_count
+        subset = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n)))
+        ref = floyd_warshall(g)
+        best, pair = -1, None
+        for x in subset:
+            for y in subset:
+                if ref[x][y] > best:
+                    best, pair = ref[x][y], (x, y)
+        assert g.diameter_witness(subset) == (best, pair)
+
+    def test_no_quadratic_block_on_long_cycle(self):
+        n = 3000
+        g = cycle_graph(n)
+        g.dist_row(0)  # the distance matrix exists before anything is traced
+        tracemalloc.start()
+        try:
+            parts = g.scale_components(range(0, n, 2), strict_chain(2))
+            _, components_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            diam = g.diameter_witness(range(n))
+            _, diameter_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(parts) == n // 2
+        assert diam == (n // 2, (0, n // 2))
+        assert components_peak < 2**20
+        # one int32 block of eccentricity rows, plus O(n) index and result arrays
+        assert diameter_peak < 4 * _BLOCK_ENTRIES + 2**20
 
 
 class TestSetDiameter:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from treegraded.rng import SplitMix64
@@ -33,6 +34,31 @@ def test_randint_bounds_and_determinism():
 def test_randint_empty_range():
     with pytest.raises(ValueError):
         SplitMix64(1).randint(5, 4)
+
+
+def test_block_draw_matches_scalar_draws():
+    # 30,000 draws cycling through ranges of size 1, 7, 10**6, 2**63 + 6 (above
+    # 2**63) and the whole of [0, 2**64), with nonzero lower bounds
+    bounds = [(4, 4), (3, 9), (0, 10**6 - 1), (1, 2**63 + 6), (0, 2**64 - 1)] * 6000
+    lo, hi = (np.array(col, dtype=np.uint64) for col in zip(*bounds))
+    scalar, block = SplitMix64(2024), SplitMix64(2024)
+    expected = [scalar.randint(a, b) for a, b in bounds]
+    got = block.randint_block(lo, hi)
+    assert got.dtype == np.uint64 and got.shape == (30_000,)
+    assert got.tolist() == expected
+
+
+def test_block_draw_leaves_scalar_state():
+    scalar, block = SplitMix64(99), SplitMix64(99)
+    for _ in range(3):
+        [scalar.randint(0, 9) for _ in range(1_000)]
+    for _ in range(3):
+        block.randint_block(0, np.full((250, 4), 9))
+    assert block._state == scalar._state
+    assert block.next_u64() == scalar.next_u64()
+    assert block.randint_block(0, []).size == 0 and block._state == scalar._state
+    with pytest.raises(ValueError):
+        block.randint_block([5], [4])
 
 
 def test_choice_and_weighted_index():
