@@ -18,7 +18,15 @@ is driven by the measured maximum (clamped below by r).
 From a raw piece coloring the assembly pipeline derives the recolored version
 (color 0 forced on the closed 2r-ball around the piece base vertex) and the
 base component: the scale-r color-0 component of the base vertex, which decides
-short/long classification during assembly.
+short/long classification during assembly. Chains in the base component step
+by piece-internal distances. A validated piece is convex (the theorem in
+space.py), so those equal ambient distances, and the base component is the
+part holding the base vertex of Graph.scale_components on the piece's color-0
+vertices; base_component therefore requires a valid space.
+
+A piece's shape does not depend on the scale, so classify_piece computes it
+once per space and piece and keeps it on the Space itself: a cache outside
+the space would keep every space, and its distance matrix, alive.
 """
 
 from __future__ import annotations
@@ -192,7 +200,15 @@ class PieceShape:
 
 
 def classify_piece(space: Space, pid: int) -> PieceShape:
-    """Detect which strategy fits a piece: acyclic, cycle, or grid."""
+    """Detect which strategy fits a piece: acyclic, cycle, or grid. Memoised
+    on the space, per piece."""
+    shape = space._piece_shapes.get(pid)
+    if shape is None:
+        shape = space._piece_shapes[pid] = _detect_shape(space, pid)
+    return shape
+
+
+def _detect_shape(space: Space, pid: int) -> PieceShape:
     piece = space.pieces[pid]
     adj = space.piece_adjacency(pid)
     n = len(piece)
@@ -454,32 +470,16 @@ def base_component(
     recolored: Mapping[int, int], space: Space, pid: int, base: int, setup: ScaleSetup
 ) -> frozenset[int]:
     """Scale-r component of the base vertex inside the color-0 set of the piece,
-    chained with piece-internal distances."""
+    chained with piece-internal distances.
+
+    Computed as the part holding the base of the ambient scale components of
+    that set, which needs the space to be valid: only then is the piece convex
+    and its internal distances ambient."""
+    space.require_valid()
     if recolored[base] != 0:
         raise ValueError(f"base vertex {base} of piece {pid} is not color 0")
-    zero = {v for v, c in recolored.items() if c == 0}
-    max_step = setup.chain.max_step
-    adj = space.piece_adjacency(pid)
-    component = {base}
-    frontier = deque([base])
-    while frontier:
-        src = frontier.popleft()
-        # limited-depth BFS in the piece, jumping only to color-0 vertices
-        row = {src: 0}
-        queue = deque([src])
-        while queue:
-            u = queue.popleft()
-            if row[u] == max_step:
-                continue
-            for w in adj[u]:
-                if w not in row:
-                    row[w] = row[u] + 1
-                    queue.append(w)
-        for v, d in row.items():
-            if v in zero and v not in component and d <= max_step:
-                component.add(v)
-                frontier.append(v)
-    return frozenset(component)
+    zero = [v for v, c in recolored.items() if c == 0]
+    return next(part for part in space.graph.scale_components(zero, setup.chain) if base in part)
 
 
 def finalize_piece_coloring(

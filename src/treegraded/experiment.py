@@ -69,6 +69,11 @@ class SampleBudget:
     trace_targets: int = 64  # per cell
     geodesic_chain_targets: int = 48  # per cell
 
+    def __post_init__(self):
+        for name, count in vars(self).items():
+            if count < 0:
+                raise ValueError(f"sample budget {name} must be >= 0, got {count}")
+
 
 @dataclass
 class ExperimentConfig:

@@ -6,6 +6,18 @@ vertices, so T1 and the tree axiom hold by construction and every template
 induces a convex subgraph. Generation is driven entirely by the pinned
 splitmix64 stream; identical specs produce byte-identical space files.
 
+`gen_random` keeps the set of eligible attachment vertices between glues
+instead of rescanning every vertex before each one. A vertex is eligible while
+its attach count is below the branch cap, the shallowest piece holding it is
+shallower than the depth cap, and no other attachment point of a piece holding
+it is within piece distance attach_spacing - 1. All three only ever tighten: attach
+counts and attachment sets grow; a vertex's shallowest piece is fixed when it
+is born, since a piece glued at v is deeper than every piece already holding
+v; and gluing never changes the internal metric of an existing piece. So a
+glue at v clears only v itself, once its count reaches the cap, and the
+vertices near v in the pieces that held v before the glue, which gain v as an
+attachment point. The new piece's fresh vertices enter with their own test.
+
 `gen_free_product_model` builds the alternating coset tree of a free product
 at desk scale: a root piece of the left template whose spaced-out vertices
 each sprout a right-template piece, and so on for `depth` levels.
@@ -15,6 +27,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+
+import numpy as np
 
 from .graph import Graph, normalize_edge
 from .rng import SplitMix64
@@ -118,7 +132,8 @@ class ForgeSpec:
 
 class _Builder:
     """Accumulates pieces glued at single vertices, with the incidence maps the
-    eligibility scan needs kept current."""
+    attachment rules read (holders, attachment points, attach counts, piece
+    depths) kept current."""
 
     def __init__(self):
         self.edges: list[tuple[int, int]] = []
@@ -166,6 +181,22 @@ class _Builder:
             self.attach_count[glue_global] = self.attach_count.get(glue_global, 0) + 1
         return pid
 
+    def piece_ball(self, pid: int, v: int, radius: int) -> dict[int, int]:
+        """Piece-internal distances from v to the vertices of piece pid within
+        the radius."""
+        adj = self.piece_adj[pid]
+        dist = {v: 0}
+        queue = deque([v])
+        while queue:
+            u = queue.popleft()
+            if dist[u] >= radius:
+                continue
+            for w in adj[u]:
+                if w not in dist:
+                    dist[w] = dist[u] + 1
+                    queue.append(w)
+        return dist
+
     def spacing_ok(self, v: int, spacing: int) -> bool:
         """No other attachment point within piece-internal distance < spacing,
         in any piece holding v."""
@@ -173,21 +204,8 @@ class _Builder:
             return True
         for pid in self.holders[v]:
             others = self.attach_points[pid] - {v}
-            if not others:
-                continue
-            adj = self.piece_adj[pid]
-            dist = {v: 0}
-            queue = deque([v])
-            while queue:
-                u = queue.popleft()
-                if dist[u] + 1 >= spacing:
-                    continue
-                for w in adj[u]:
-                    if w not in dist:
-                        dist[w] = dist[u] + 1
-                        if w in others:
-                            return False
-                        queue.append(w)
+            if others and not others.isdisjoint(self.piece_ball(pid, v, spacing - 1)):
+                return False
         return True
 
     def to_space(self, basepoint: int, subdivide: int = 1) -> Space:
@@ -200,29 +218,39 @@ class _Builder:
 def gen_random(spec: ForgeSpec) -> Space:
     """Grow a random piece tree: start from a root template, then repeatedly
     glue a weighted-random template at an eligible vertex until the budget
-    (or the constraints) run out. Deterministic in the seed."""
+    (or the constraints) run out. Deterministic in the seed.
+
+    The eligible set is kept across glues and updated by the rules in the
+    module docstring; the draw picks by index into its ascending vertex ids."""
     rng = SplitMix64(spec.seed)
     templates = [t for t, _ in spec.templates]
     weights = [w for _, w in spec.templates]
+    near = spec.attach_spacing - 1  # piece distance within which an attachment point blocks
     builder = _Builder()
     builder.add_piece(templates[rng.weighted_index(weights)], None, None, depth=1)
+    eligible = np.full(builder.vertex_count, 1 < spec.max_tree_depth)
 
     while len(builder.pieces) < spec.piece_budget:
-        eligible = [
-            v
-            for v in range(builder.vertex_count)
-            if builder.attach_count.get(v, 0) < spec.branch_cap
-            and min(builder.piece_depth[p] for p in builder.holders[v]) < spec.max_tree_depth
-            and builder.spacing_ok(v, spec.attach_spacing)
-        ]
-        if not eligible:
+        candidates = np.flatnonzero(eligible)
+        if not candidates.size:
             break
-        v = eligible[rng.randint(0, len(eligible) - 1)]
+        v = int(candidates[rng.randint(0, candidates.size - 1)])
         tpl = templates[rng.weighted_index(weights)]
         count, _ = tpl.build()
         glue_local = rng.randint(0, count - 1)
-        depth = 1 + min(builder.piece_depth[p] for p in builder.holders[v])
-        builder.add_piece(tpl, glue_local, v, depth)
+        old_holders = list(builder.holders[v])
+        depth = 1 + min(builder.piece_depth[p] for p in old_holders)
+        first_fresh = builder.vertex_count
+        pid = builder.add_piece(tpl, glue_local, v, depth)
+        # v is now an attachment point of every piece that held it
+        for p in old_holders:
+            eligible[list(builder.piece_ball(p, v, near))] = False
+        # v's own spacing is unchanged by a glue at v; only its count moved
+        eligible[v] = builder.attach_count[v] < spec.branch_cap
+        # the new piece's own vertices: its depth, and their distance to v, its one attachment point
+        fresh = np.full(builder.vertex_count - first_fresh, depth < spec.max_tree_depth)
+        fresh[[u - first_fresh for u in builder.piece_ball(pid, v, near) if u != v]] = False
+        eligible = np.concatenate([eligible, fresh])
     return builder.to_space(basepoint=0, subdivide=spec.subdivide)
 
 

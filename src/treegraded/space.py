@@ -106,6 +106,7 @@ class Space:
         self._pieces_of_vertex: tuple[tuple[int, ...], ...] | None = None
         self._piece_of_edge: dict[tuple[int, int], int] | None = None
         self._piece_adj: dict[int, dict[int, tuple[int, ...]]] = {}
+        self._piece_shapes: dict[int, object] = {}  # coloring.classify_piece, by piece id
         self._piece_rows: dict[tuple[int, int], dict[int, int]] = {}
         self._report: ValidationReport | None = None
         self._tree: PieceTree | None = None
@@ -314,7 +315,8 @@ class Space:
         return out
 
     def require_valid(self):
-        report = self.validate()
+        # called once per piece and scale by base_component: a cached report is read directly
+        report = self._report if self._report is not None else self.validate()
         if not report.ok:
             raise InvalidSpaceError(
                 "space violates tree-graded axioms: "

@@ -74,16 +74,23 @@ TEMPLATE_POOL = (
 
 
 @st.composite
-def forge_specs(draw, max_budget: int = 6, pool: tuple[str, ...] = TEMPLATE_POOL) -> ForgeSpec:
+def forge_specs(
+    draw,
+    max_budget: int = 6,
+    pool: tuple[str, ...] = TEMPLATE_POOL,
+    max_spacing: int = 3,
+    subdivisions: tuple[int, ...] = (1,),
+) -> ForgeSpec:
     names = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3, unique=True))
     weights = [draw(st.integers(min_value=1, max_value=3)) for _ in names]
     return ForgeSpec(
         templates=tuple((PieceTemplate.parse(t), w) for t, w in zip(names, weights)),
         piece_budget=draw(st.integers(min_value=1, max_value=max_budget)),
         max_tree_depth=draw(st.integers(min_value=1, max_value=5)),
-        attach_spacing=draw(st.integers(min_value=1, max_value=3)),
+        attach_spacing=draw(st.integers(min_value=1, max_value=max_spacing)),
         branch_cap=draw(st.integers(min_value=1, max_value=3)),
         seed=draw(st.integers(min_value=0, max_value=2**32)),
+        subdivide=draw(st.sampled_from(subdivisions)),
     )
 
 

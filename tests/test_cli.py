@@ -215,6 +215,17 @@ class TestExperiment:
         assert proc.returncode == 2
         assert "bad experiment config" in proc.stderr
 
+    def test_negative_sample_budget_is_config_error(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        space = {"name": "a", "forge": {"templates": [["path:5", 1]], "pieces": 3, "seed": 1}}
+        cfg.write_text(json.dumps({"spaces": [space], "r_list": [2], "samples": {"stability_pairs": -3}}))
+        proc = run_cli("experiment", cfg)
+        assert proc.returncode == 2
+        assert "bad experiment config" in proc.stderr and "stability_pairs" in proc.stderr
+        zero = {"stability_pairs": 0, "chains": 0, "trace_targets": 0, "geodesic_chain_targets": 0}
+        cfg.write_text(json.dumps({"spaces": [space], "r_list": [2], "samples": zero}))
+        assert run_cli("experiment", cfg).returncode == 0
+
     def test_missing_file_space_recorded_as_error(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(

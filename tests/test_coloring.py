@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import gc
+import random
+import weakref
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from treegraded import coloring
 from treegraded.coloring import (
     CertificationError,
     ScaleSetup,
@@ -23,12 +29,19 @@ from treegraded.coloring import (
     raw_piece_colorings,
     recolor_base_ball,
 )
-from treegraded.forge import ForgeSpec, PieceTemplate, gen_random, subdivide_space
+from treegraded.forge import (
+    ForgeSpec,
+    PieceTemplate,
+    gen_free_product_model,
+    gen_random,
+    subdivide_space,
+)
 from treegraded.graph import Graph, strict_chain, weak_chain
-from treegraded.oracles import brute_magnitude
+from treegraded.oracles import brute_magnitude, brute_scale_components
 from treegraded.space import Space
 
 from conftest import (
+    TEMPLATE_POOL,
     cycle_graph,
     edge_piece_path,
     path_graph,
@@ -229,6 +242,90 @@ class TestRecolorAndBaseComponent:
         raw = {v: 1 for v in range(11)}
         with pytest.raises(ValueError):
             base_component(raw, self.space, 0, 0, self.setup)
+
+
+def assert_base_components_match_piece_oracle(space: Space, r: int, mode: str, seed: int):
+    """Every piece's base component, for the pipeline's recoloring and for a
+    random one, against brute-force scale components of the color-0 vertices
+    in the piece's own induced subgraph (the piece-internal metric)."""
+    rnd = random.Random(seed)
+    setup = ScaleSetup(r=r, n=natural_color_count(space), chain_mode=mode)
+    for pid, pc in build_piece_colorings(space, setup).items():
+        piece = sorted(space.pieces[pid])
+        local = {v: i for i, v in enumerate(piece)}
+        inside = Graph(
+            len(piece), [(local[u], local[w]) for u, w in space.graph.edges if u in local and w in local]
+        )
+        random_zero = {v: 0 if v == pc.basepoint else rnd.randint(0, 1) for v in piece}
+        cases = [
+            (pc.recolored, pc.base_component),
+            (random_zero, base_component(random_zero, space, pid, pc.basepoint, setup)),
+        ]
+        for colors, got in cases:
+            zero = [local[v] for v in piece if colors[v] == 0]
+            parts = brute_scale_components(inside, zero, setup.chain)
+            want = next(part for part in parts if local[pc.basepoint] in part)
+            assert got == frozenset(piece[i] for i in want), (pid, r, mode)
+
+
+class TestBaseComponentRoute:
+    chain = st.tuples(st.integers(min_value=2, max_value=8), st.sampled_from(["strict", "weak"]))
+
+    @settings(max_examples=30, deadline=None)
+    @given(small_spaces(), chain, st.integers(min_value=0, max_value=2**32))
+    def test_generated_spaces(self, space, rm, seed):
+        assert_base_components_match_piece_oracle(space, *rm, seed)
+
+    @settings(max_examples=20, deadline=None)
+    @given(small_spaces(max_budget=4), st.integers(min_value=2, max_value=3), chain, st.integers(0, 2**32))
+    def test_subdivided_spaces(self, space, k, rm, seed):
+        assert_base_components_match_piece_oracle(subdivide_space(space, k), *rm, seed)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        st.sampled_from(TEMPLATE_POOL),
+        st.sampled_from(TEMPLATE_POOL),
+        st.integers(min_value=1, max_value=3),
+        chain,
+        st.integers(min_value=0, max_value=2**32),
+    )
+    def test_free_product_models(self, left, right, depth, rm, seed):
+        space = gen_free_product_model(
+            PieceTemplate.parse(left), PieceTemplate.parse(right), depth, attach_spacing=2, seed=seed
+        )
+        assert_base_components_match_piece_oracle(space, *rm, seed)
+
+    def test_invalid_space_rejected(self):
+        # pentagon cut into a path piece and an edge piece: pieces meet twice
+        g = cycle_graph(5)
+        space = Space(g, [{0, 1, 2, 3}, {3, 4, 0}], 0)
+        with pytest.raises(ValueError, match="violates"):
+            base_component({v: 0 for v in range(4)}, space, 0, 0, ScaleSetup(r=2, n=1))
+
+
+class TestShapeMemo:
+    def test_grids_coordinatised_once_per_space(self, monkeypatch):
+        calls: Counter = Counter()
+        detect = coloring._grid_coordinates
+
+        def counting(piece, adj):
+            calls[piece] += 1
+            return detect(piece, adj)
+
+        monkeypatch.setattr(coloring, "_grid_coordinates", counting)
+        space = gen_free_product_model(
+            PieceTemplate.parse("grid:4x5"), PieceTemplate.parse("path:6"), depth=3, attach_spacing=3
+        )
+        for r in (2, 4, 6, 8):
+            build_piece_colorings(space, ScaleSetup(r=r, n=natural_color_count(space)))
+        grids = [p for pid, p in enumerate(space.pieces) if classify_piece(space, pid).kind == "grid"]
+        assert len(grids) > 1
+        assert calls == Counter({p: 1 for p in grids})
+        # the memo lives on the space: dropping the space frees it
+        ref = weakref.ref(space)
+        del space
+        gc.collect()
+        assert ref() is None
 
 
 class TestMagnitude:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import deque
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,12 +13,64 @@ from treegraded.formats import space_to_text
 from treegraded.forge import (
     ForgeSpec,
     PieceTemplate,
+    _Builder,
     gen_free_product_model,
     gen_random,
     subdivide_space,
 )
+from treegraded.rng import SplitMix64
 
 from conftest import forge_specs, small_spaces
+
+
+def _rescan_spacing_ok(builder: _Builder, v: int, spacing: int) -> bool:
+    if spacing <= 1:
+        return True
+    for pid in builder.holders[v]:
+        others = builder.attach_points[pid] - {v}
+        if not others:
+            continue
+        adj = builder.piece_adj[pid]
+        dist = {v: 0}
+        queue = deque([v])
+        while queue:
+            u = queue.popleft()
+            if dist[u] + 1 >= spacing:
+                continue
+            for w in adj[u]:
+                if w not in dist:
+                    dist[w] = dist[u] + 1
+                    if w in others:
+                        return False
+                    queue.append(w)
+    return True
+
+
+def rescan_gen_random(spec: ForgeSpec):
+    """Reference generator: rescans every vertex against the attachment rules
+    before every glue, where gen_random keeps its eligible set between glues."""
+    rng = SplitMix64(spec.seed)
+    templates = [t for t, _ in spec.templates]
+    weights = [w for _, w in spec.templates]
+    builder = _Builder()
+    builder.add_piece(templates[rng.weighted_index(weights)], None, None, depth=1)
+    while len(builder.pieces) < spec.piece_budget:
+        eligible = [
+            v
+            for v in range(builder.vertex_count)
+            if builder.attach_count.get(v, 0) < spec.branch_cap
+            and min(builder.piece_depth[p] for p in builder.holders[v]) < spec.max_tree_depth
+            and _rescan_spacing_ok(builder, v, spec.attach_spacing)
+        ]
+        if not eligible:
+            break
+        v = eligible[rng.randint(0, len(eligible) - 1)]
+        tpl = templates[rng.weighted_index(weights)]
+        count, _ = tpl.build()
+        glue_local = rng.randint(0, count - 1)
+        depth = 1 + min(builder.piece_depth[p] for p in builder.holders[v])
+        builder.add_piece(tpl, glue_local, v, depth)
+    return builder.to_space(basepoint=0, subdivide=spec.subdivide)
 
 
 class TestTemplates:
@@ -121,6 +175,11 @@ class TestGenRandom:
         space = gen_random(spec)
         tree = space.gluing_tree()
         assert max(tree.piece_depth.values()) <= 2  # piece depths 0 or 2 in the bipartite tree
+
+    @settings(max_examples=150, deadline=None)
+    @given(forge_specs(max_budget=14, max_spacing=5, subdivisions=(1, 2)))
+    def test_matches_rescan_reference(self, spec):
+        assert space_to_text(gen_random(spec)) == space_to_text(rescan_gen_random(spec))
 
     @settings(max_examples=40, deadline=None)
     @given(forge_specs())
