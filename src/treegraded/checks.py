@@ -586,8 +586,8 @@ def check_geodesic_chain_distance(
         comp = sorted(comp_of[x])
         comp_arr = np.asarray(comp, dtype=np.int64)
         gamma_arr = np.asarray(gamma.vertices, dtype=np.int64)
-        sub = g.dist_block(comp_arr, gamma_arr)
-        mindist = sub.min(axis=0)
+        # rows of the short geodesic, not of the whole component
+        mindist = g.dist_block(gamma_arr, comp_arr).min(axis=1)
         in_comp = np.isin(gamma_arr, comp_arr)
         long_runs = [(seg.start, seg.end) for seg in tr.segments if seg.long]
         length = gamma.length

@@ -21,12 +21,13 @@ base component: the scale-r color-0 component of the base vertex, which decides
 short/long classification during assembly. Chains in the base component step
 by piece-internal distances. A validated piece is convex (the theorem in
 space.py), so those equal ambient distances, and the base component is the
-part holding the base vertex of Graph.scale_components on the piece's color-0
-vertices; base_component therefore requires a valid space.
+part holding the base vertex of Graph.piece_components on the piece's color-0
+vertices, read from the table the validated space keeps for that piece;
+base_component therefore requires a valid space.
 
 A piece's shape does not depend on the scale, so classify_piece computes it
 once per space and piece and keeps it on the Space itself: a cache outside
-the space would keep every space, and its distance matrix, alive.
+the space would keep every space, and its distance tables, alive.
 """
 
 from __future__ import annotations
@@ -70,6 +71,8 @@ class ScaleSetup:
             raise ValueError("need n >= 1 (at least two colors)")
         if self.chain_mode not in ("strict", "weak"):
             raise ValueError(f"unknown chain mode {self.chain_mode!r}")
+        if self.color_period is not None and self.color_period < 1:
+            raise ValueError("color period must be positive")
         self._period_overridden = self.color_period is not None
         if self.piece_magnitude is not None:
             self.set_piece_magnitude(self.piece_magnitude)
@@ -472,14 +475,14 @@ def base_component(
     """Scale-r component of the base vertex inside the color-0 set of the piece,
     chained with piece-internal distances.
 
-    Computed as the part holding the base of the ambient scale components of
-    that set, which needs the space to be valid: only then is the piece convex
-    and its internal distances ambient."""
+    Read from the piece's own distance table, which a valid space keeps: only
+    then is the piece convex and its table exact."""
     space.require_valid()
     if recolored[base] != 0:
         raise ValueError(f"base vertex {base} of piece {pid} is not color 0")
     zero = [v for v, c in recolored.items() if c == 0]
-    return next(part for part in space.graph.scale_components(zero, setup.chain) if base in part)
+    parts = space.graph.piece_components(space.pieces[pid], zero, setup.chain)
+    return next(part for part in parts if base in part)
 
 
 def finalize_piece_coloring(

@@ -98,6 +98,8 @@ class ExperimentConfig:
             raise ValueError("all scales must be >= 2")
         if self.parallelism < 1:
             raise ValueError("parallelism must be >= 1")
+        if self.color_period_override is not None and self.color_period_override < 1:
+            raise ValueError("color period must be positive")
 
 
 def config_from_json(data: dict) -> ExperimentConfig:

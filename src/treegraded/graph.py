@@ -10,19 +10,30 @@ Every route runs on one symmetric float64 CSR adjacency matrix, built with
 the graph. Scipy's dijkstra is called on it with directed=True: the matrix is
 already symmetric, and the call then neither re-casts nor transposes it.
 
-All-pairs distances are one int32 matrix, and only this module writes or
-knows that layout: callers read it through dist_row, dist_block and
-dist_pairs. It is filled one of two ways:
+The stored metric is one int32 table per piece, and only this module knows
+that layout: callers read distances through dist_row, dist_block and
+dist_pairs. The tables are kept one of two ways:
 
   composed   when a validated tree-graded Space hands over its placement
              (compose_distances): scipy runs on each piece's induced subgraph
-             alone, and the pieces' tables are glued along the gluing tree
-             through their cut vertices;
-  generic    on the first distance query of any other graph: scipy runs from
-             every source over the whole graph, a block of source rows at a
-             time.
+             alone, and the tables hang on the gluing tree through their cut
+             vertices;
+  one piece  on the first distance query of any other graph: the whole graph
+             is one piece, and its table is scipy's fill from every source,
+             a block of source rows at a time.
 
-Both give the same exact integer matrix on a tree-graded space.
+Rows are composed on demand and memoised per source. Every vertex x has a
+home piece, the one that places it fresh. For the sources of one piece k,
+each vertex x has a projection pi(x) onto k, the vertex of k that every path
+from x into k passes, and d(u, x) = d_k(u, pi(x)) + d(pi(x), x) by the
+separation proved in space.py. One walk of the piece tree gives every
+piece's attachment to k and its gate toward k (_gates), and one numpy gather
+from k's table then gives the rows of all of k's sources. Composed rows are
+kept in one row store, so dist_block and dist_pairs read them with one
+gather each, after composing the rows they miss in one pass.
+
+Known limit: memory is the sum of |P|^2 over the pieces, so one huge piece,
+or a graph that is not split into pieces, is still quadratic.
 
 The two measurement queries never allocate an array of |S|^2 entries for a
 vertex set S:
@@ -35,18 +46,35 @@ vertex set S:
                      inequality. It is complete: on a geodesic p_0 .. p_L
                      between members with L <= s, delta(p_j) <= min(j, L - j),
                      so every p_j is reached and every edge of it joins. No
-                     distance matrix is read.
+                     distance is read.
   diameter_witness   the first maximum, row-major, of the sorted |S| x |S|
-                     distance block, read from matrix rows one block of at
-                     most _BLOCK_ENTRIES entries at a time. Its pair (x, y) is
-                     the first member x of largest eccentricity within S and
-                     the first member y at that distance from x.
+                     distance block: the first member x of largest
+                     eccentricity within S, then the first member y at that
+                     distance from x. A subset inside one piece reads that
+                     piece's table block, one block of at most _BLOCK_ENTRIES
+                     entries at a time. Otherwise eccentricities come from a
+                     rerooting pass over the pieces S spans (the union of the
+                     tree paths between the home pieces of its members). Each
+                     piece P has anchors: its members, valued 0; each spanned
+                     child's cut, valued by the farthest member below it
+                     (computed children first); and its own cut, valued by
+                     the farthest member outside P's subtree (computed
+                     parents first, as the max over P's parent's other
+                     anchors). Then ecc(x) = max over anchors a of P of
+                     value(a) + d_P(a, x), read from P's table. The pass
+                     costs anchors x (members + spanned children) entries per
+                     spanned piece, and one composed row from x, restricted
+                     to S, then gives y.
+
+piece_components answers scale components inside one kept piece from that
+piece's table alone, in O(|S|^2) with no V-length array.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -55,8 +83,8 @@ from scipy.sparse.csgraph import connected_components as _sparse_components
 from scipy.sparse.csgraph import dijkstra as _dijkstra
 
 # entries per block of rows: in an all-pairs build scipy returns each block as
-# float64, so this keeps its temporary near 32 MB at any graph size, and
-# diameter_witness copies int32 blocks of at most this many entries
+# float64, so this keeps its temporary near 32 MB at any graph size; composed
+# rows and the table blocks of diameter_witness are made this many at a time
 _BLOCK_ENTRIES = 2**22
 
 
@@ -174,10 +202,68 @@ def normalize_edge(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
+class _Tables(NamedTuple):
+    """The kept metric: one int32 table per piece, and the tree that glues them.
+
+    Pieces are numbered in placement order, root first, so a piece's parent
+    comes before it. Piece k's table is flat[off[k] : off[k] + size[k]**2],
+    row-major over its sorted vertices. Every vertex x is placed fresh by one
+    piece, home[x], at row local[x] of that table, which is entry start[x] of
+    flat plus stride[x] per row. cut[k] is the vertex piece k shares with its
+    parent piece parent[k] (-1 for the root): row cut_row[k] of piece k's table
+    and row cut_parent_row[k] of its parent's. Per-vertex fields are arrays,
+    per-piece fields are lists, read one piece at a time.
+    """
+
+    flat: np.ndarray
+    home: np.ndarray
+    local: np.ndarray
+    start: np.ndarray
+    stride: np.ndarray
+    off: list[int]
+    size: list[int]
+    parent: list[int]
+    cut: list[int]
+    cut_row: list[int]
+    cut_parent_row: list[int]
+
+    def table(self, k: int) -> np.ndarray:
+        size, off = self.size[k], self.off[k]
+        return self.flat[off : off + size * size].reshape(size, size)
+
+
+def _parts(members: np.ndarray, labels: np.ndarray) -> list[frozenset[int]]:
+    """Sorted members grouped by label, so parts appear by smallest vertex."""
+    parts: dict[int, list[int]] = {}
+    for v, label in zip(members.tolist(), labels.tolist()):
+        parts.setdefault(label, []).append(v)
+    return [frozenset(part) for part in parts.values()]
+
+
+def _anchored_max(
+    table: np.ndarray, anchors: np.ndarray, values: np.ndarray, targets: np.ndarray, own: range
+) -> np.ndarray:
+    """For each target t, the max over anchors a of values[a] + table[a, t],
+    leaving out the pairs (i, i) for i in own. Reads the table block a run of
+    anchor rows of at most _BLOCK_ENTRIES entries at a time."""
+    best = None
+    height = max(1, _BLOCK_ENTRIES // targets.size)
+    for lo in range(0, anchors.size, height):
+        block = table[anchors[lo : lo + height, None], targets]
+        block += values[lo : lo + height, None]
+        mine = range(max(lo, own.start), min(lo + height, own.stop))
+        if mine:
+            block[np.subtract(mine, lo), mine] = -1
+        reach = block.max(axis=0)
+        best = reach if best is None else np.maximum(best, reach)
+        del block  # so that the next block is never held beside this one
+    return best
+
+
 class Graph:
     """Immutable connected unit-edge graph with cached metric queries."""
 
-    __slots__ = ("vertex_count", "edges", "adj", "_ends", "_csr", "_matrix")
+    __slots__ = ("vertex_count", "edges", "adj", "_ends", "_csr", "_tables", "_rows", "_slot", "_filled")
 
     def __init__(self, vertex_count: int, edges: Iterable[tuple[int, int]]):
         if vertex_count < 1:
@@ -203,7 +289,11 @@ class Graph:
             (np.ones(2 * len(norm)), (np.concatenate([us, vs]), np.concatenate([vs, us]))),
             shape=(vertex_count, vertex_count),
         )
-        self._matrix: np.ndarray | None = None
+        self._tables: _Tables | None = None
+        # composed rows, memoised: row _slot[u] of _rows holds u's row (-1: not yet)
+        self._rows = np.empty((0, vertex_count), dtype=np.int32)
+        self._slot = np.full(vertex_count, -1, dtype=np.int64)
+        self._filled = 0
         self._check_connected()
 
     def _check_connected(self):
@@ -213,13 +303,13 @@ class Graph:
         if missing.size:
             raise GraphError(f"graph is disconnected (vertex {int(missing[0])} unreachable from 0)")
 
-    def _ensure_matrix(self) -> np.ndarray:
-        if self._matrix is None:
-            self._matrix = _all_pairs(self._csr)
-        return self._matrix
+    def _ensure_tables(self) -> _Tables:
+        if self._tables is None:
+            self.compose_distances([np.arange(self.vertex_count)], [-1])  # the one-piece case
+        return self._tables
 
     def compose_distances(self, pieces: Sequence[ArrayLike], cuts: Sequence[int]):
-        """Fill the distance matrix from per-piece tables glued along a tree.
+        """Keep per-piece distance tables glued along a tree as the graph's metric.
 
         pieces holds vertex arrays, root piece first; cuts[0] is -1 and
         cuts[i] is the one vertex piece i shares with the pieces before it.
@@ -227,53 +317,149 @@ class Graph:
         passes through cuts[i] and that every piece's induced subgraph is
         connected and convex, which a validated tree-graded space does. Then
         d(x, y) = d(x, c) + d_P(c, y) for x placed before piece P and y in P,
-        so every entry comes from one piece table and one placed entry. Does
-        nothing when the matrix is already filled.
+        which is how rows are composed from the tables. Tables kept before
+        are replaced; rows composed before stay, being exact either way.
         """
-        if self._matrix is not None:
-            return
         n = self.vertex_count
         sp = self._csr
-        dist = np.empty((n, n), dtype=np.int32)
         placed = np.zeros(n, dtype=bool)
-        for verts, cut in zip(pieces, cuts):
+        home = np.full(n, -1, dtype=np.int64)
+        local = np.zeros(n, dtype=np.int64)
+        tables, size, parent, cut_row = [], [], [], []
+        for k, (verts, cut) in enumerate(zip(pieces, cuts)):
             verts = np.unique(self._vertex_array(verts))
             fresh = verts != cut
-            new, before = verts[fresh], np.flatnonzero(placed)
-            if before.size and (fresh.all() or not placed[cut]):
+            new = verts[fresh]
+            rooted = not placed.any()
+            if not rooted and (fresh.all() or not placed[cut]):
                 raise GraphError(f"cut vertex {cut} is not shared with an earlier piece")
             if placed[new].any():
                 raise GraphError(f"piece {verts.tolist()[:4]} overlaps the earlier pieces beyond its cut")
-            local = _all_pairs(sp[verts][:, verts])
-            if before.size:
-                outward = dist[before, cut][:, None] + local[verts == cut][:, fresh]
-                dist[np.ix_(before, new)] = outward
-                dist[np.ix_(new, before)] = outward.T
-            dist[np.ix_(new, new)] = local[np.ix_(fresh, fresh)]
+            tables.append(_all_pairs(sp[verts][:, verts]).ravel())
+            size.append(verts.size)
+            parent.append(-1 if rooted else int(home[cut]))
+            cut_row.append(-1 if rooted else int(np.flatnonzero(~fresh)[0]))
+            home[new], local[new] = k, np.flatnonzero(fresh)
             placed[new] = True
         if not placed.all():
             raise GraphError(f"vertex {int(np.argmin(placed))} lies in no piece")
-        self._matrix = dist
+        off = np.cumsum([0] + [s * s for s in size[:-1]], dtype=np.int64)
+        cut = [-1 if q < 0 else int(c) for c, q in zip(cuts, parent)]
+        self._tables = _Tables(
+            flat=np.concatenate(tables),
+            home=home,
+            local=local,
+            start=off[home] + local,
+            stride=np.array(size, dtype=np.int64)[home],
+            off=off.tolist(),
+            size=size,
+            parent=parent,
+            cut=cut,
+            cut_row=cut_row,
+            cut_parent_row=[-1 if c < 0 else int(local[c]) for c in cut],
+        )
+
+    def _gates(self, k: int) -> tuple[list[int], list[int], list[int]]:
+        """How every vertex projects onto piece k, listed by piece Q.
+
+        The projection onto k of a vertex x of Q (Q != k) is the vertex of k
+        that every path from x into k passes, at row attach[Q] of k's table;
+        Q's gate, the vertex of Q every such path leaves by, is row gate[Q] of
+        Q's table, at distance gap[Q] from that projection. The walk climbs
+        from k to the root, then runs down the other pieces in placement
+        order, each after its parent.
+        """
+        t = self._tables
+        flat, off, size, parent = t.flat, t.off, t.size, t.parent
+        attach, gate, gap = [0] * len(parent), [0] * len(parent), [0] * len(parent)
+        climbed = {k}
+        q, e, d = parent[k], t.cut_parent_row[k], 0
+        while q >= 0:  # pieces above k project onto k's cut
+            attach[q], gate[q], gap[q] = t.cut_row[k], e, d
+            climbed.add(q)
+            if parent[q] >= 0:
+                d += flat.item(off[q] + e * size[q] + t.cut_row[q])
+            q, e = parent[q], t.cut_parent_row[q]
+        for p in range(1, len(parent)):
+            if p not in climbed:
+                q = parent[p]
+                gate[p] = t.cut_row[p]
+                if q == k:  # p hangs off k at its own cut
+                    attach[p], gap[p] = t.cut_parent_row[p], 0
+                else:
+                    attach[p] = attach[q]
+                    gap[p] = gap[q] + flat.item(off[q] + gate[q] * size[q] + t.cut_parent_row[p])
+        return attach, gate, gap
+
+    def _compose(self, sources: np.ndarray, cols: np.ndarray | None) -> np.ndarray:
+        """int32 distances from each source (axis 0) to each of cols (axis 1;
+        every vertex when None), composed from the tables and not memoised.
+
+        For the sources placed by one piece k, d(u, x) = d_k(u, pi(x)) +
+        d(pi(x), x), with pi(x) the projection of x onto k (_gates): one
+        gather from k's table for all of them.
+        """
+        t = self._ensure_tables()
+        home, local = (t.home, t.local) if cols is None else (t.home[cols], t.local[cols])
+        start, stride = (t.start, t.stride) if cols is None else (t.start[cols], t.stride[cols])
+        homes = t.home[sources]
+        out = np.empty((sources.size, home.size), dtype=np.int32)
+        for k in np.unique(homes).tolist():
+            attach, gate, gap = (np.array(a, dtype=np.int64) for a in self._gates(k))
+            inside = home == k
+            proj = np.where(inside, local, attach[home])
+            dist = np.where(inside, 0, gap[home] + t.flat[start + gate[home] * stride])
+            at = np.flatnonzero(homes == k)
+            block = t.table(k)[t.local[sources[at]][:, None], proj]
+            block += dist
+            out[at] = block
+        return out
+
+    def _fill(self, sources: np.ndarray):
+        """Memoise the rows of sources; the missing ones are composed together,
+        a block of at most _BLOCK_ENTRIES entries at a time. The row store
+        grows by doubling, up to one row per vertex."""
+        missing = np.unique(sources[self._slot[sources] < 0])
+        if not missing.size:
+            return
+        n, filled = self.vertex_count, self._filled
+        if filled + missing.size > len(self._rows):
+            grown = np.empty((min(n, max(filled + missing.size, 2 * filled)), n), dtype=np.int32)
+            grown[:filled] = self._rows[:filled]
+            self._rows = grown
+        height = max(1, _BLOCK_ENTRIES // n)
+        for lo in range(0, missing.size, height):
+            chunk = missing[lo : lo + height]
+            self._rows[filled : filled + chunk.size] = self._compose(chunk, None)
+            self._slot[chunk] = np.arange(filled, filled + chunk.size)
+            filled += chunk.size
+        self._filled = filled
 
     def dist_row(self, u: int) -> np.ndarray:
         """Distances from u to every vertex, as an int32 array."""
         self.check_vertex(u)
-        return self._ensure_matrix()[u]
+        slot = self._slot.item(u)
+        if slot < 0:
+            self._fill(np.array([u]))
+            slot = self._slot.item(u)
+        return self._rows[slot]
 
     def dist_block(self, rows: ArrayLike, cols: ArrayLike | None = None) -> np.ndarray:
         """int32 distances from each vertex of rows (axis 0) to each vertex of
         cols (axis 1; every vertex when cols is None), in the order given."""
         rows = self._vertex_array(rows)
+        self._fill(rows)
         if cols is None:
-            return self._ensure_matrix()[rows]
-        return self._ensure_matrix()[np.ix_(rows, self._vertex_array(cols))]
+            return self._rows[self._slot[rows]]
+        return self._rows[self._slot[rows][:, None], self._vertex_array(cols)]
 
     def dist_pairs(self, us: ArrayLike, vs: ArrayLike) -> np.ndarray:
         """int32 distances d(us[i], vs[i]), pair by pair, for equal-length us and vs."""
         us, vs = self._vertex_array(us), self._vertex_array(vs)
         if us.shape != vs.shape:
             raise GraphError(f"dist_pairs needs equal shapes, got {us.shape} and {vs.shape}")
-        return self._ensure_matrix()[us, vs]
+        self._fill(us.ravel())
+        return self._rows[self._slot[us], vs]
 
     def _vertex_array(self, vertices: ArrayLike) -> np.ndarray:
         arr = np.asarray(vertices, dtype=np.int64)
@@ -312,12 +498,12 @@ class Graph:
         canonical_geodesic(root, v) for every v at once.
         """
         row = self.dist_row(root)
-        parents = np.full(self.vertex_count, -1, dtype=np.int64)
-        for v in range(self.vertex_count):
-            if v == root:
-                continue
-            target = row[v] - 1
-            parents[v] = min(w for w in self.adj[v] if row[w] == target)
+        us, vs = self._ends
+        near, far = np.concatenate([us, vs]), np.concatenate([vs, us])
+        closer = row[near] == row[far] - 1
+        parents = np.full(self.vertex_count, self.vertex_count, dtype=np.int64)
+        np.minimum.at(parents, far[closer], near[closer])
+        parents[root] = -1
         return parents
 
     def ball(self, center: int, radius: int) -> frozenset[int]:
@@ -342,20 +528,107 @@ class Graph:
 
     def diameter_witness(self, subset: Iterable[int]) -> tuple[int, tuple[int, int]]:
         """Max pairwise ambient distance plus the first achieving pair
-        (row-major, over the sorted subset)."""
+        (row-major, over the sorted subset): the first member x of largest
+        eccentricity within the subset, and the first member y at that
+        distance from x. A subset inside one piece reads that piece's table;
+        otherwise eccentricities come from the rerooting pass over the pieces
+        the subset spans (module docstring)."""
         arr = self._members(subset)
-        if not arr.size:
-            raise GraphError("diameter of an empty subset")
-        dist = self._ensure_matrix()
-        height = max(1, _BLOCK_ENTRIES // arr.size)
-        best, pair = -1, (0, 0)
-        for lo in range(0, arr.size, height):
-            block = dist[np.ix_(arr[lo : lo + height], arr)]
-            i, j = divmod(int(np.argmax(block)), arr.size)
-            if block[i, j] > best:
-                best, pair = int(block[i, j]), (int(arr[lo + i]), int(arr[j]))
-            del block  # so that the next block is never held beside this one
-        return best, pair
+        if arr.size < 2:
+            if not arr.size:
+                raise GraphError("diameter of an empty subset")
+            return 0, (int(arr[0]), int(arr[0]))
+        t = self._ensure_tables()
+        homes = t.home[arr]
+        last = int(homes.max())
+        rows = self._rows_in(last, arr, homes)
+        if rows.min() >= 0:  # the subset lies in one piece: one table block
+            table = t.table(last)
+            height = max(1, _BLOCK_ENTRIES // rows.size)
+            best, pair = -1, (0, 0)
+            for lo in range(0, rows.size, height):
+                block = table[rows[lo : lo + height, None], rows]
+                i, j = divmod(int(np.argmax(block)), rows.size)
+                if block[i, j] > best:
+                    best, pair = int(block[i, j]), (int(arr[lo + i]), int(arr[j]))
+                del block  # so that the next block is never held beside this one
+            return best, pair
+        rows = t.local[arr]
+        held: dict[int, list[int]] = {}  # piece -> indices of the members it places
+        for i, p in enumerate(homes.tolist()):
+            held.setdefault(p, []).append(i)
+        # the pieces the subset spans: lift the last-placed piece until one is left
+        kids: dict[int, list[int]] = {}
+        lifted: list[int] = []  # every spanned piece but the top, children first
+        frontier = [-p for p in held]
+        heapq.heapify(frontier)
+        spanned = set(held)
+        while len(frontier) > 1:
+            p = -heapq.heappop(frontier)
+            q = t.parent[p]
+            lifted.append(p)
+            kids.setdefault(q, []).append(p)
+            if q not in spanned:
+                spanned.add(q)
+                heapq.heappush(frontier, -q)
+        top = -frontier[0]
+
+        def anchors(p: int) -> tuple[np.ndarray, np.ndarray]:
+            """Rows of p's members (value 0) and of its spanned children's
+            cuts (value: the farthest member beyond the cut)."""
+            at = rows[held.get(p, [])]
+            ks = kids.get(p)
+            if not ks:
+                return at, np.zeros(at.size, dtype=np.int32)
+            at = np.concatenate((at, [t.cut_parent_row[q] for q in ks]))
+            return at, np.array([0] * (at.size - len(ks)) + [down[q] for q in ks], dtype=np.int32)
+
+        down: dict[int, int] = {}  # piece -> farthest member in its subtree, from its cut
+        for p in lifted:
+            at, val = anchors(p)
+            down[p] = int((t.table(p)[at, t.cut_row[p]] + val).max())
+        ecc = np.empty(arr.size, dtype=np.int64)
+        up: dict[int, int] = {}  # piece -> farthest member outside its subtree, from its cut
+        for p in [top] + lifted[::-1]:
+            targets, val = anchors(p)
+            at, mine, ks = targets, held.get(p, []), kids.get(p, ())
+            if p != top:  # the parent's side, seen from p's cut
+                at, val = np.append(targets, t.cut_row[p]), np.append(val, np.int32(up[p]))
+            # a child's own subtree is left out of what lies beyond it
+            reach = _anchored_max(t.table(p), at, val, targets, range(len(mine), len(mine) + len(ks)))
+            ecc[mine] = reach[: len(mine)]
+            up.update(zip(ks, reach[len(mine) :].tolist()))
+        i = int(np.argmax(ecc))
+        x = int(arr[i])
+        dists = self._compose(np.array([x]), arr)[0]
+        return int(ecc[i]), (x, int(arr[np.argmax(dists)]))
+
+    def _rows_in(self, k: int, members: np.ndarray, homes: np.ndarray) -> np.ndarray:
+        """Rows of members, whose home pieces are homes, in piece k's table;
+        -1 for a member not in piece k."""
+        t = self._tables
+        at = t.local[members]
+        away = homes != k
+        if away.any():
+            at[away] = -1
+            at[members == t.cut[k]] = t.cut_row[k]
+        return at
+
+    def piece_components(self, piece: Iterable[int], subset: Iterable[int], pred: ChainPredicate) -> list[frozenset[int]]:
+        """scale_components of a subset of one kept piece, read from that
+        piece's own table: O(|piece| + |subset|^2), with no V-length array."""
+        t = self._ensure_tables()
+        verts = self._members(piece)
+        homes = t.home[verts]
+        k = int(homes.max())
+        if verts.size != t.size[k] or self._rows_in(k, verts, homes).min() < 0:
+            raise GraphError(f"no table is kept for piece {verts.tolist()[:4]}")
+        members = self._members(subset)
+        at = self._rows_in(k, members, t.home[members])
+        if (at < 0).any():
+            raise GraphError(f"vertex {int(members[np.argmin(at)])} is not in piece {verts.tolist()[:4]}")
+        near = t.table(k)[np.ix_(at, at)] <= pred.max_step
+        return _parts(members, _union_labels(members.size, *np.nonzero(near)))
 
     def scale_components(self, subset: Iterable[int], pred: ChainPredicate) -> list[frozenset[int]]:
         """Partition of subset into maximal scale-r connected components under pred.
@@ -379,11 +652,7 @@ class Graph:
             np.searchsorted(members, nearest[us[joined]]),
             np.searchsorted(members, nearest[vs[joined]]),
         )
-        # a label is its part's smallest member, so parts appear by smallest vertex
-        parts: dict[int, list[int]] = {}
-        for v, label in zip(members.tolist(), labels.tolist()):
-            parts.setdefault(label, []).append(v)
-        return [frozenset(part) for part in parts.values()]
+        return _parts(members, labels)
 
     def diameter(self) -> int:
         return self.set_diameter(range(self.vertex_count))

@@ -28,9 +28,10 @@ simple path, so it never leaves P, and every edge it uses has both ends in P
 and belongs to P (by T1 no other piece holds two vertices of P). Hence
 piece-internal distances equal ambient ones. The same separation gives
 d(x, y) = d(x, c) + d_P(c, y) for y in P and x on the far side of c, so a
-successful validate composes the ambient distance matrix from the pieces' own
-tables along the gluing tree (Graph.compose_distances), and never runs a
-shortest-path search over the whole graph.
+successful validate hands the gluing tree's placement to
+Graph.compose_distances, which keeps the pieces' own tables as the whole
+metric: rows and diameters are composed from them along the tree, no
+shortest-path search runs over the whole graph, and no V x V array is built.
 """
 
 from __future__ import annotations

@@ -226,6 +226,15 @@ class TestExperiment:
         cfg.write_text(json.dumps({"spaces": [space], "r_list": [2], "samples": zero}))
         assert run_cli("experiment", cfg).returncode == 0
 
+    @pytest.mark.parametrize("period", [-5, 0])
+    def test_non_positive_color_period_is_config_error(self, tmp_path, period):
+        cfg = tmp_path / "cfg.json"
+        space = {"name": "a", "forge": {"templates": [["path:5", 1]], "pieces": 3, "seed": 1}}
+        cfg.write_text(json.dumps({"spaces": [space], "r_list": [2], "color_period": period}))
+        proc = run_cli("experiment", cfg)
+        assert proc.returncode == 2
+        assert "bad experiment config: color period must be positive" in proc.stderr
+
     def test_missing_file_space_recorded_as_error(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(
@@ -285,3 +294,11 @@ class TestMiscCli:
         assert proc.returncode == 0
         payload = json.loads(proc.stdout[proc.stdout.index("{"):])
         assert [t["value"] for t in payload["floor_terms"]] == [1]  # floor(50/50)
+
+    @pytest.mark.parametrize("period", [-5, 0])
+    def test_non_positive_period_rejected(self, tmp_path, path_space_file, period):
+        out = tmp_path / "p.tgcolor"
+        proc = run_cli("color", path_space_file, "--r", 2, "--period", period, "-o", out)
+        assert proc.returncode == 2
+        assert "color period must be positive" in proc.stderr
+        assert not out.exists()

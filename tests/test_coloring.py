@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import random
+import tracemalloc
 import weakref
 from collections import Counter
 
@@ -12,7 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treegraded import coloring
+from treegraded.assemble import color_space
 from treegraded.coloring import (
+    ASSEMBLED_BOUND_FACTOR,
     CertificationError,
     ScaleSetup,
     StrategyPlan,
@@ -89,6 +92,11 @@ class TestScaleSetup:
     def test_tiny_scale_rejected(self):
         with pytest.raises(ValueError):
             ScaleSetup(r=1, n=1)
+
+    @pytest.mark.parametrize("period", [-5, 0])
+    def test_non_positive_period_rejected(self, period):
+        with pytest.raises(ValueError, match="color period must be positive"):
+            ScaleSetup(r=2, n=1, color_period=period)
 
 
 class TestBandColoring:
@@ -361,6 +369,33 @@ class TestMagnitude:
         strict = magnitude_report(space.graph, colors, strict_chain(r)).magnitude
         weak = magnitude_report(space.graph, colors, weak_chain(r)).magnitude
         assert weak >= strict
+
+
+class TestNoQuadraticMemory:
+    def test_pipeline_peaks_below_a_quarter_matrix(self):
+        # twelve-by-twelve grids glued along a tree, as the benchmark's ladder grows them
+        spec = ForgeSpec(
+            templates=((PieceTemplate.parse("grid:12x12"), 1),),
+            piece_budget=21,
+            max_tree_depth=10,
+            attach_spacing=3,
+            branch_cap=3,
+            seed=7,
+        )
+        space = gen_random(spec)
+        n = space.graph.vertex_count
+        assert n >= 3000
+        tracemalloc.start()
+        try:
+            assert space.validate().ok
+            setup = ScaleSetup(r=8, n=natural_color_count(space))
+            colored = color_space(space, setup, build_piece_colorings(space, setup))
+            report = magnitude_report(space.graph, colored.as_mapping(), setup.chain)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.magnitude <= ASSEMBLED_BOUND_FACTOR * setup.require_magnitude() + 2 * setup.r
+        assert peak < n * n  # bytes: a quarter of one int32 n x n matrix
 
 
 class TestComputeMagnitudeAndCertify:

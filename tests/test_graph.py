@@ -19,9 +19,16 @@ from treegraded.graph import (
     strict_chain,
     weak_chain,
 )
-from treegraded.oracles import brute_scale_components, floyd_warshall
+from treegraded.oracles import bfs_dists, brute_scale_components, floyd_warshall
 
-from conftest import TEMPLATE_POOL, connected_graphs, cycle_graph, path_graph, small_spaces
+from conftest import (
+    TEMPLATE_POOL,
+    chain_of_three_paths,
+    connected_graphs,
+    cycle_graph,
+    path_graph,
+    small_spaces,
+)
 
 
 def _validated_graph(space) -> Graph:
@@ -29,9 +36,9 @@ def _validated_graph(space) -> Graph:
     return space.graph
 
 
-# graphs the measurement routes meet: generated, subdivided and free-product
-# spaces, plus plain cycles and paths, where Voronoi ties are common
-measured_graphs = st.one_of(
+# validated spaces, whose metric is composed from their pieces' tables:
+# generated, subdivided and free-product spaces
+composed_graphs = st.one_of(
     small_spaces(max_budget=4).map(_validated_graph),
     st.builds(subdivide_space, small_spaces(max_budget=2), st.integers(2, 3)).map(_validated_graph),
     st.builds(
@@ -43,9 +50,25 @@ measured_graphs = st.one_of(
         st.integers(1, 2),
         st.integers(0, 2**32),
     ).map(_validated_graph),
+)
+
+# graphs the measurement routes meet: composed ones, plus plain cycles and
+# paths (one piece each), where Voronoi ties are common
+measured_graphs = st.one_of(
+    composed_graphs,
     st.integers(3, 40).map(cycle_graph),
     st.integers(1, 40).map(path_graph),
 )
+
+
+def first_row_major_max(ref: list[list[int]], subset: list[int]) -> tuple[int, tuple[int, int]]:
+    """Diameter of a sorted subset and the first pair reaching it, row-major."""
+    best, pair = -1, None
+    for x in subset:
+        for y in subset:
+            if ref[x][y] > best:
+                best, pair = ref[x][y], (x, y)
+    return best, pair
 
 
 class TestShortestDist:
@@ -130,6 +153,51 @@ class TestComposeDistances:
             path_graph(4).compose_distances([np.array(p) for p in pieces], cuts)
 
 
+class TestComposedEngine:
+    """Rows, blocks, pairs and diameters composed from the per-piece tables,
+    against the BFS and Floyd-Warshall oracles and the one-piece generic fill."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(composed_graphs, st.data())
+    def test_rows_blocks_and_pairs(self, g: Graph, data):
+        n = g.vertex_count
+        ref = [bfs_dists(g, u) for u in range(n)]
+        vertices = st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n)
+        # blocks and pairs first, while they still compose their missing rows
+        rows, cols = data.draw(vertices), data.draw(vertices)
+        assert g.dist_block(rows, cols).tolist() == [[ref[u][v] for v in cols] for u in rows]
+        us = data.draw(vertices)
+        vs = data.draw(st.lists(st.integers(0, n - 1), min_size=len(us), max_size=len(us)))
+        assert g.dist_pairs(us, vs).tolist() == [ref[u][v] for u, v in zip(us, vs)]
+        assert g.dist_block(rows).tolist() == [ref[u] for u in rows]
+        generic = Graph(n, g.edges)  # one piece: the whole graph's table
+        for u in range(n):
+            assert g.dist_row(u).tolist() == ref[u] == generic.dist_row(u).tolist()
+
+    @settings(max_examples=30, deadline=None)
+    @given(composed_graphs, st.data())
+    def test_diameters_of_every_scale_component(self, g: Graph, data):
+        n = g.vertex_count
+        ref = floyd_warshall(g)
+        colors = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        for r in range(2, 9):
+            for c in range(3):
+                members = [v for v in range(n) if colors[v] == c]
+                for comp in g.scale_components(members, strict_chain(r)):
+                    assert g.diameter_witness(comp) == first_row_major_max(ref, sorted(comp))
+
+    def test_piece_components_reject_outside_vertex(self):
+        space = chain_of_three_paths()  # pieces {0,1,2}, {2,3,4}, {4,5,6}
+        g = _validated_graph(space)
+        middle = space.pieces[1]
+        assert g.piece_components(middle, {2, 3, 4}, strict_chain(2)) == [frozenset({2, 3, 4})]
+        assert g.piece_components(middle, {2, 4}, strict_chain(2)) == [frozenset({2}), frozenset({4})]
+        with pytest.raises(GraphError):
+            g.piece_components(middle, {3, 5}, strict_chain(2))
+        with pytest.raises(GraphError):  # not a piece of the placement
+            g.piece_components({2, 3}, {2, 3}, strict_chain(2))
+
+
 class TestCanonicalGeodesic:
     def test_unique_geodesic_on_path(self):
         assert path_graph(4).canonical_geodesic(0, 3).vertices == (0, 1, 2, 3)
@@ -150,6 +218,19 @@ class TestCanonicalGeodesic:
         assert p1 == p2
         assert p1.length == g.shortest_dist(u, v)
         assert g.is_path(p1) or p1.length == 0
+
+    @settings(max_examples=30, deadline=None)
+    @given(small_spaces(), st.data())
+    def test_parents_reproduce_canonical_geodesics(self, space, data):
+        g = _validated_graph(space)
+        root = data.draw(st.integers(0, g.vertex_count - 1))
+        parents = g.canonical_parents(root)
+        assert parents[root] == -1
+        for v in range(g.vertex_count):
+            walk = [v]
+            while walk[-1] != root:
+                walk.append(int(parents[walk[-1]]))
+            assert tuple(reversed(walk)) == g.canonical_geodesic(root, v).vertices
 
     def test_parent_array_matches_per_vertex_calls(self):
         g = cycle_graph(9)
@@ -232,13 +313,7 @@ class TestMeasurementRoutes:
     def test_diameter_witness_is_first_row_major_maximum(self, g: Graph, data):
         n = g.vertex_count
         subset = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n)))
-        ref = floyd_warshall(g)
-        best, pair = -1, None
-        for x in subset:
-            for y in subset:
-                if ref[x][y] > best:
-                    best, pair = ref[x][y], (x, y)
-        assert g.diameter_witness(subset) == (best, pair)
+        assert g.diameter_witness(subset) == first_row_major_max(floyd_warshall(g), subset)
 
     def test_no_quadratic_block_on_long_cycle(self):
         n = 3000

@@ -99,14 +99,18 @@ class TestValidate:
 
 
 def assert_composed_metric(space: Space):
-    """validate fills the distance matrix from the pieces; it must equal the
-    generic all-sources fill and the BFS oracle, and every piece-internal
-    oracle distance must equal the ambient one (CONVEX)."""
+    """validate keeps the pieces' own tables as the metric and nothing of V^2
+    entries; rows composed from them must equal the generic all-sources fill
+    and the BFS oracle, and every piece-internal oracle distance must equal
+    the ambient one (CONVEX)."""
     g = space.graph
     n = g.vertex_count
-    assert g._matrix is None
+    assert g._tables is None
     assert space.validate().ok
-    assert g._matrix is not None  # filled by the composition, before any query
+    tables = g._tables  # kept by the composition, before any query
+    assert tables.flat.size == sum(len(piece) ** 2 for piece in space.pieces)
+    assert all(len(a) == (n if isinstance(a, np.ndarray) else len(space.pieces)) for a in tables[1:])
+    assert g._filled == 0  # no row is composed before a query
     composed = g.dist_block(np.arange(n))
     assert np.array_equal(composed, Graph(n, g.edges).dist_block(np.arange(n)))
     for v in range(n):
