@@ -22,7 +22,8 @@ dist_pairs. The tables are kept one of two ways:
              is one piece, and its table is scipy's fill from every source,
              a block of source rows at a time.
 
-Rows are composed on demand and memoised per source. Every vertex x has a
+A graph kept as one piece reads every row straight from its table. Otherwise
+rows are composed on demand and memoised per source. Every vertex x has a
 home piece, the one that places it fresh. For the sources of one piece k,
 each vertex x has a projection pi(x) onto k, the vertex of k that every path
 from x into k passes, and d(u, x) = d_k(u, pi(x)) + d(pi(x), x) by the
@@ -32,8 +33,9 @@ from k's table then gives the rows of all of k's sources. Composed rows are
 kept in one row store, so dist_block and dist_pairs read them with one
 gather each, after composing the rows they miss in one pass.
 
-Known limit: memory is the sum of |P|^2 over the pieces, so one huge piece,
-or a graph that is not split into pieces, is still quadratic.
+Known limit: memory is the sum of |P|^2 over the pieces plus the rows that
+have been read, so one huge piece, a graph that is not split into pieces, or a
+caller that reads every row is still quadratic.
 
 The two measurement queries never allocate an array of |S|^2 entries for a
 vertex set S:
@@ -50,11 +52,9 @@ vertex set S:
   diameter_witness   the first maximum, row-major, of the sorted |S| x |S|
                      distance block: the first member x of largest
                      eccentricity within S, then the first member y at that
-                     distance from x. A subset inside one piece reads that
-                     piece's table block, one block of at most _BLOCK_ENTRIES
-                     entries at a time. Otherwise eccentricities come from a
-                     rerooting pass over the pieces S spans (the union of the
-                     tree paths between the home pieces of its members). Each
+                     distance from x. Eccentricities come from a rerooting
+                     pass over the pieces S spans (the union of the tree
+                     paths between the home pieces of its members). Each
                      piece P has anchors: its members, valued 0; each spanned
                      child's cut, valued by the farthest member below it
                      (computed children first); and its own cut, valued by
@@ -63,8 +63,9 @@ vertex set S:
                      anchors). Then ecc(x) = max over anchors a of P of
                      value(a) + d_P(a, x), read from P's table. The pass
                      costs anchors x (members + spanned children) entries per
-                     spanned piece, and one composed row from x, restricted
-                     to S, then gives y.
+                     spanned piece, so a subset inside one piece reads one
+                     block of that piece's table. x's row, memoised or
+                     composed on S alone, then gives y.
 
 piece_components answers scale components inside one kept piece from that
 piece's table alone, in O(|S|^2) with no V-length array.
@@ -208,24 +209,20 @@ class _Tables(NamedTuple):
     Pieces are numbered in placement order, root first, so a piece's parent
     comes before it. Piece k's table is flat[off[k] : off[k] + size[k]**2],
     row-major over its sorted vertices. Every vertex x is placed fresh by one
-    piece, home[x], at row local[x] of that table, which is entry start[x] of
-    flat plus stride[x] per row. cut[k] is the vertex piece k shares with its
-    parent piece parent[k] (-1 for the root): row cut_row[k] of piece k's table
-    and row cut_parent_row[k] of its parent's. Per-vertex fields are arrays,
-    per-piece fields are lists, read one piece at a time.
+    piece, home[x], at row local[x] of that table. cut[k] is the vertex piece k
+    shares with its parent piece parent[k] (-1 for the root): row cut_row[k] of
+    piece k's table and row local[cut[k]] of its parent's. Per-vertex fields
+    are arrays, per-piece fields are lists, read one piece at a time.
     """
 
     flat: np.ndarray
     home: np.ndarray
     local: np.ndarray
-    start: np.ndarray
-    stride: np.ndarray
     off: list[int]
     size: list[int]
     parent: list[int]
     cut: list[int]
     cut_row: list[int]
-    cut_parent_row: list[int]
 
     def table(self, k: int) -> np.ndarray:
         size, off = self.size[k], self.off[k]
@@ -241,16 +238,18 @@ def _parts(members: np.ndarray, labels: np.ndarray) -> list[frozenset[int]]:
 
 
 def _anchored_max(
-    table: np.ndarray, anchors: np.ndarray, values: np.ndarray, targets: np.ndarray, own: range
+    table: np.ndarray, anchors: np.ndarray, values: np.ndarray | None, targets: np.ndarray, own: range
 ) -> np.ndarray:
-    """For each target t, the max over anchors a of values[a] + table[a, t],
-    leaving out the pairs (i, i) for i in own. Reads the table block a run of
-    anchor rows of at most _BLOCK_ENTRIES entries at a time."""
+    """For each target t, the max over anchors a of values[a] + table[a, t]
+    (values None: all 0), leaving out the pairs (i, i) for i in own. Takes
+    a run of anchor rows at a time, then their block, so that the two hold
+    at most _BLOCK_ENTRIES entries together."""
     best = None
-    height = max(1, _BLOCK_ENTRIES // targets.size)
+    height = max(1, _BLOCK_ENTRIES // (table.shape[1] + targets.size))
     for lo in range(0, anchors.size, height):
-        block = table[anchors[lo : lo + height, None], targets]
-        block += values[lo : lo + height, None]
+        block = table.take(anchors[lo : lo + height], 0).take(targets, 1)
+        if values is not None:
+            block += values[lo : lo + height, None]
         mine = range(max(lo, own.start), min(lo + height, own.stop))
         if mine:
             block[np.subtract(mine, lo), mine] = -1
@@ -349,14 +348,11 @@ class Graph:
             flat=np.concatenate(tables),
             home=home,
             local=local,
-            start=off[home] + local,
-            stride=np.array(size, dtype=np.int64)[home],
             off=off.tolist(),
             size=size,
             parent=parent,
             cut=cut,
             cut_row=cut_row,
-            cut_parent_row=[-1 if c < 0 else int(local[c]) for c in cut],
         )
 
     def _gates(self, k: int) -> tuple[list[int], list[int], list[int]]:
@@ -370,25 +366,26 @@ class Graph:
         order, each after its parent.
         """
         t = self._tables
-        flat, off, size, parent = t.flat, t.off, t.size, t.parent
+        flat, local, off, size, parent, cut = t.flat, t.local, t.off, t.size, t.parent, t.cut
         attach, gate, gap = [0] * len(parent), [0] * len(parent), [0] * len(parent)
         climbed = {k}
-        q, e, d = parent[k], t.cut_parent_row[k], 0
-        while q >= 0:  # pieces above k project onto k's cut
+        p, d = k, 0
+        while parent[p] >= 0:  # pieces above k project onto k's cut
+            q, e = parent[p], local.item(cut[p])
             attach[q], gate[q], gap[q] = t.cut_row[k], e, d
             climbed.add(q)
             if parent[q] >= 0:
                 d += flat.item(off[q] + e * size[q] + t.cut_row[q])
-            q, e = parent[q], t.cut_parent_row[q]
+            p = q
         for p in range(1, len(parent)):
             if p not in climbed:
                 q = parent[p]
                 gate[p] = t.cut_row[p]
                 if q == k:  # p hangs off k at its own cut
-                    attach[p], gap[p] = t.cut_parent_row[p], 0
+                    attach[p], gap[p] = local.item(cut[p]), 0
                 else:
                     attach[p] = attach[q]
-                    gap[p] = gap[q] + flat.item(off[q] + gate[q] * size[q] + t.cut_parent_row[p])
+                    gap[p] = gap[q] + flat.item(off[q] + gate[q] * size[q] + local.item(cut[p]))
         return attach, gate, gap
 
     def _compose(self, sources: np.ndarray, cols: np.ndarray | None) -> np.ndarray:
@@ -401,14 +398,15 @@ class Graph:
         """
         t = self._ensure_tables()
         home, local = (t.home, t.local) if cols is None else (t.home[cols], t.local[cols])
-        start, stride = (t.start, t.stride) if cols is None else (t.start[cols], t.stride[cols])
+        off, size = np.array(t.off, dtype=np.int64), np.array(t.size, dtype=np.int64)
         homes = t.home[sources]
         out = np.empty((sources.size, home.size), dtype=np.int32)
         for k in np.unique(homes).tolist():
             attach, gate, gap = (np.array(a, dtype=np.int64) for a in self._gates(k))
+            row = off + gate * size  # per piece: where its gate's row starts in flat
             inside = home == k
             proj = np.where(inside, local, attach[home])
-            dist = np.where(inside, 0, gap[home] + t.flat[start + gate[home] * stride])
+            dist = np.where(inside, 0, gap[home] + t.flat[row[home] + local])
             at = np.flatnonzero(homes == k)
             block = t.table(k)[t.local[sources[at]][:, None], proj]
             block += dist
@@ -435,31 +433,40 @@ class Graph:
             filled += chunk.size
         self._filled = filled
 
+    def _rows_of(self, sources: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """An array holding the rows of sources, and their row indices in it:
+        the table itself when the graph is kept as one piece, else the row
+        store once the missing rows are composed."""
+        t = self._ensure_tables()
+        if len(t.size) == 1:
+            return t.table(0), sources
+        self._fill(sources)
+        return self._rows, self._slot[sources]
+
     def dist_row(self, u: int) -> np.ndarray:
         """Distances from u to every vertex, as an int32 array."""
         self.check_vertex(u)
         slot = self._slot.item(u)
-        if slot < 0:
-            self._fill(np.array([u]))
-            slot = self._slot.item(u)
-        return self._rows[slot]
+        if slot >= 0:
+            return self._rows[slot]
+        store, at = self._rows_of(np.array([u]))
+        return store[at.item(0)]
 
     def dist_block(self, rows: ArrayLike, cols: ArrayLike | None = None) -> np.ndarray:
         """int32 distances from each vertex of rows (axis 0) to each vertex of
         cols (axis 1; every vertex when cols is None), in the order given."""
-        rows = self._vertex_array(rows)
-        self._fill(rows)
+        store, at = self._rows_of(self._vertex_array(rows))
         if cols is None:
-            return self._rows[self._slot[rows]]
-        return self._rows[self._slot[rows][:, None], self._vertex_array(cols)]
+            return store[at]
+        return store[at[:, None], self._vertex_array(cols)]
 
     def dist_pairs(self, us: ArrayLike, vs: ArrayLike) -> np.ndarray:
         """int32 distances d(us[i], vs[i]), pair by pair, for equal-length us and vs."""
         us, vs = self._vertex_array(us), self._vertex_array(vs)
         if us.shape != vs.shape:
             raise GraphError(f"dist_pairs needs equal shapes, got {us.shape} and {vs.shape}")
-        self._fill(us.ravel())
-        return self._rows[self._slot[us], vs]
+        store, at = self._rows_of(us)
+        return store[at, vs]
 
     def _vertex_array(self, vertices: ArrayLike) -> np.ndarray:
         arr = np.asarray(vertices, dtype=np.int64)
@@ -524,38 +531,26 @@ class Graph:
 
     def _members(self, subset: Iterable[int]) -> np.ndarray:
         """Sorted distinct vertex ids of subset, checked."""
-        return self._vertex_array(sorted(set(subset)))
+        members = sorted(set(subset))
+        if members and not (0 <= members[0] and members[-1] < self.vertex_count):
+            self._vertex_array(members)  # raises on the first unknown id
+        return np.array(members, dtype=np.int64)
 
     def diameter_witness(self, subset: Iterable[int]) -> tuple[int, tuple[int, int]]:
         """Max pairwise ambient distance plus the first achieving pair
         (row-major, over the sorted subset): the first member x of largest
         eccentricity within the subset, and the first member y at that
-        distance from x. A subset inside one piece reads that piece's table;
-        otherwise eccentricities come from the rerooting pass over the pieces
-        the subset spans (module docstring)."""
+        distance from x. Eccentricities come from the rerooting pass over the
+        pieces the subset spans (module docstring)."""
         arr = self._members(subset)
         if arr.size < 2:
             if not arr.size:
                 raise GraphError("diameter of an empty subset")
             return 0, (int(arr[0]), int(arr[0]))
         t = self._ensure_tables()
-        homes = t.home[arr]
-        last = int(homes.max())
-        rows = self._rows_in(last, arr, homes)
-        if rows.min() >= 0:  # the subset lies in one piece: one table block
-            table = t.table(last)
-            height = max(1, _BLOCK_ENTRIES // rows.size)
-            best, pair = -1, (0, 0)
-            for lo in range(0, rows.size, height):
-                block = table[rows[lo : lo + height, None], rows]
-                i, j = divmod(int(np.argmax(block)), rows.size)
-                if block[i, j] > best:
-                    best, pair = int(block[i, j]), (int(arr[lo + i]), int(arr[j]))
-                del block  # so that the next block is never held beside this one
-            return best, pair
-        rows = t.local[arr]
+        rows = t.local[arr].tolist()  # each member's row in its home piece's table
         held: dict[int, list[int]] = {}  # piece -> indices of the members it places
-        for i, p in enumerate(homes.tolist()):
+        for i, p in enumerate(t.home[arr].tolist()):
             held.setdefault(p, []).append(i)
         # the pieces the subset spans: lift the last-placed piece until one is left
         kids: dict[int, list[int]] = {}
@@ -573,35 +568,39 @@ class Graph:
                 heapq.heappush(frontier, -q)
         top = -frontier[0]
 
-        def anchors(p: int) -> tuple[np.ndarray, np.ndarray]:
+        def anchors(p: int) -> tuple[list[int], list[int]]:
             """Rows of p's members (value 0) and of its spanned children's
             cuts (value: the farthest member beyond the cut)."""
-            at = rows[held.get(p, [])]
-            ks = kids.get(p)
-            if not ks:
-                return at, np.zeros(at.size, dtype=np.int32)
-            at = np.concatenate((at, [t.cut_parent_row[q] for q in ks]))
-            return at, np.array([0] * (at.size - len(ks)) + [down[q] for q in ks], dtype=np.int32)
+            mine, ks = held.get(p, []), kids.get(p, [])
+            at = [rows[i] for i in mine] + [t.local.item(t.cut[q]) for q in ks]
+            return at, [0] * len(mine) + [down[q] for q in ks]
 
         down: dict[int, int] = {}  # piece -> farthest member in its subtree, from its cut
         for p in lifted:
             at, val = anchors(p)
             down[p] = int((t.table(p)[at, t.cut_row[p]] + val).max())
-        ecc = np.empty(arr.size, dtype=np.int64)
+        best, i = -1, 0  # the largest eccentricity, and the first member with it
         up: dict[int, int] = {}  # piece -> farthest member outside its subtree, from its cut
         for p in [top] + lifted[::-1]:
-            targets, val = anchors(p)
-            at, mine, ks = targets, held.get(p, []), kids.get(p, ())
+            at, val = anchors(p)
+            mine, ks = held.get(p, []), kids.get(p, [])
             if p != top:  # the parent's side, seen from p's cut
-                at, val = np.append(targets, t.cut_row[p]), np.append(val, np.int32(up[p]))
+                at.append(t.cut_row[p])
+                val.append(up[p])
+            at = np.array(at)
             # a child's own subtree is left out of what lies beyond it
-            reach = _anchored_max(t.table(p), at, val, targets, range(len(mine), len(mine) + len(ks)))
-            ecc[mine] = reach[: len(mine)]
+            own = range(len(mine), len(mine) + len(ks))
+            reach = _anchored_max(t.table(p), at, np.array(val) if any(val) else None, at[: own.stop], own)
+            if mine:  # members are held in index order, so argmax is the first
+                j = int(reach[: len(mine)].argmax())
+                e = reach.item(j)
+                if e > best or (e == best and mine[j] < i):
+                    best, i = e, mine[j]
             up.update(zip(ks, reach[len(mine) :].tolist()))
-        i = int(np.argmax(ecc))
-        x = int(arr[i])
-        dists = self._compose(np.array([x]), arr)[0]
-        return int(ecc[i]), (x, int(arr[np.argmax(dists)]))
+        x = arr.item(i)
+        slot = self._slot.item(x)
+        dists = self._rows[slot].take(arr) if slot >= 0 else self._compose(np.array([x]), arr)[0]
+        return best, (x, arr.item(dists.argmax()))
 
     def _rows_in(self, k: int, members: np.ndarray, homes: np.ndarray) -> np.ndarray:
         """Rows of members, whose home pieces are homes, in piece k's table;

@@ -30,8 +30,10 @@ piece-internal distances equal ambient ones. The same separation gives
 d(x, y) = d(x, c) + d_P(c, y) for y in P and x on the far side of c, so a
 successful validate hands the gluing tree's placement to
 Graph.compose_distances, which keeps the pieces' own tables as the whole
-metric: rows and diameters are composed from them along the tree, no
-shortest-path search runs over the whole graph, and no V x V array is built.
+metric: rows and diameters are composed from them along the tree, and no
+shortest-path search runs over the whole graph. Memory is the sum of |P|^2
+over the pieces plus the rows that have been read, so no V x V array is built
+unless a caller reads every row or the space is a single piece.
 """
 
 from __future__ import annotations

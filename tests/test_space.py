@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -96,6 +98,22 @@ class TestValidate:
     @given(small_spaces())
     def test_generated_spaces_valid(self, space: Space):
         assert space.validate().ok
+
+    def test_convex_pass_reads_rows_from_the_one_table(self):
+        # four-edge path pieces plus one piece repeating an edge: validate fails,
+        # so its ambient CONVEX pass reads the row of every vertex
+        n = 1500
+        pieces = [set(range(i, min(i + 4, n - 1) + 1)) for i in range(0, n - 1, 4)]
+        space = Space(path_graph(n), pieces + [{0, 1}], 0)
+        space.graph.dist_row(0)  # the graph's one n x n table is built here
+        tracemalloc.start()
+        try:
+            report = space.validate()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert "EDGE_COVER" in {v.axiom for v in report.violations}
+        assert peak < n * n  # bytes: the rows read are views of the table, not copies
 
 
 def assert_composed_metric(space: Space):
