@@ -320,11 +320,14 @@ def check_base_component_bound(
     space: Space, setup: ScaleSetup, colorings: Mapping[int, PieceColoring]
 ) -> CheckResult:
     res = CheckResult("base_component_bound")
+    g = space.graph
     bound = BASE_COMPONENT_FACTOR * setup.require_magnitude()
     for pid, pc in colorings.items():
         res.checked += 1
-        diam, pair = space.graph.diameter_witness(pc.base_component)
-        if diam > bound:
+        verts = sorted(space.pieces[pid])
+        base = [0 if v in pc.base_component else -1 for v in verts]
+        if g.piece_diameters(verts, base)[1].item(0) > bound:
+            diam, pair = g.diameter_witness(pc.base_component)
             res.hit({"piece": pid, "diameter": diam, "bound": bound, "witness": pair})
     return res
 
@@ -352,24 +355,24 @@ def check_piece_offset(
                 res.hit({"piece": pid, "vertex": x, "offset": off})
         if len(offsets) > 1:
             constant_everywhere = False
-        # in-piece monochromatic components of the assembled coloring
-        by_color: dict[int, list[int]] = {}
-        for x in space.pieces[pid]:
-            by_color.setdefault(coloring[x], []).append(x)
-        for c, members in sorted(by_color.items()):
-            for comp in space.graph.scale_components(members, setup.chain):
-                res.checked += 1
-                diam, pair = space.graph.diameter_witness(comp)
-                if diam > bound:
-                    res.hit(
-                        {
-                            "piece": pid,
-                            "color": c,
-                            "diameter": diam,
-                            "bound": bound,
-                            "witness": pair,
-                        }
-                    )
+        # in-piece monochromatic components of the assembled coloring, by
+        # color, then by smallest vertex
+        verts = sorted(space.pieces[pid])
+        colors = [coloring[x] for x in verts]
+        comp, diams = space.graph.piece_diameters(verts, colors, setup.chain.max_step)
+        res.checked += diams.size
+        for k in np.flatnonzero(diams > bound).tolist():
+            members = [x for x, j in zip(verts, comp.tolist()) if j == k]
+            diam, pair = space.graph.diameter_witness(members)
+            res.hit(
+                {
+                    "piece": pid,
+                    "color": coloring[members[0]],
+                    "diameter": diam,
+                    "bound": bound,
+                    "witness": pair,
+                }
+            )
     res.info["offset_constant_per_piece"] = constant_everywhere
     return res
 
@@ -528,27 +531,32 @@ def check_in_piece_chain_distance(
     by_color: dict[int, list[int]] = {}
     for v, c in enumerate(coloring.colors):
         by_color.setdefault(c, []).append(v)
-    for c, members in sorted(by_color.items()):
-        for comp in g.scale_components(members, setup.chain):
-            per_piece: dict[int, list[int]] = {}
-            for v in comp:
-                for pid in space.pieces_of_vertex[v]:
-                    per_piece.setdefault(pid, []).append(v)
-            for pid, verts in sorted(per_piece.items()):
-                if len(verts) < 2:
-                    continue
-                res.checked += 1
-                diam, pair = g.diameter_witness(verts)
-                if diam > bound:
-                    res.hit(
-                        {
-                            "piece": pid,
-                            "color": c,
-                            "distance": diam,
-                            "bound": bound,
-                            "witness": pair,
-                        }
-                    )
+    # ambient components numbered by color, then by smallest vertex
+    comps = [
+        comp for _, members in sorted(by_color.items()) for comp in g.scale_components(members, setup.chain)
+    ]
+    comp_of = np.empty(g.vertex_count, dtype=np.int64)
+    for k, comp in enumerate(comps):
+        comp_of[list(comp)] = k
+    over: list[tuple[int, int]] = []  # (component, piece) whose part in the piece is too wide
+    for pid, piece in enumerate(space.pieces):
+        verts = sorted(piece)
+        labels = comp_of[verts]
+        comp, diams = g.piece_diameters(verts, labels)
+        res.checked += int((np.bincount(comp) >= 2).sum())
+        ids = np.unique(labels)  # the component of each diameter
+        over += [(k, pid) for k in ids[diams > bound].tolist()]
+    for k, pid in sorted(over):
+        diam, pair = g.diameter_witness(comps[k] & space.pieces[pid])
+        res.hit(
+            {
+                "piece": pid,
+                "color": coloring[min(comps[k])],
+                "distance": diam,
+                "bound": bound,
+                "witness": pair,
+            }
+        )
     return res
 
 

@@ -206,6 +206,9 @@ def cmd_measure(args) -> int:
     for v in colors:
         space.graph.check_vertex(v)
     pred = ChainPredicate(args.chain, args.r)
+    # a valid space keeps its pieces' tables as the metric; an invalid one is
+    # measured on the one table of its whole graph
+    space.validate()
     report = magnitude_report(space.graph, colors, pred)
     payload = report.to_dict()
     payload.update({"r": args.r, "chain": args.chain, "space": args.space})

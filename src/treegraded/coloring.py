@@ -20,10 +20,17 @@ From a raw piece coloring the assembly pipeline derives the recolored version
 base component: the scale-r color-0 component of the base vertex, which decides
 short/long classification during assembly. Chains in the base component step
 by piece-internal distances. A validated piece is convex (the theorem in
-space.py), so those equal ambient distances, and the base component is the
-part holding the base vertex of Graph.piece_components on the piece's color-0
-vertices, read from the table the validated space keeps for that piece;
-base_component therefore requires a valid space.
+space.py), so those equal ambient distances and the table the validated space
+keeps for the piece holds them all.
+
+Everything measured inside one piece is therefore read from that piece's
+table, one Graph.piece_diameters pass per piece: the magnitude of a raw piece
+coloring (compute_piece_magnitude, certify_piece_colorings), and the base
+component, the chain component of the base vertex among the piece's color-0
+vertices. These require a valid space. magnitude_report measures any coloring
+of the whole graph: one scale_components search per color class, then
+Graph.diameters, which reads the components inside one piece from that
+piece's table, and one diameter_witness call per color for the witness pair.
 
 A piece's shape does not depend on the scale, so classify_piece computes it
 once per space and piece and keeps it on the Space itself: a cache outside
@@ -164,8 +171,10 @@ def magnitude_report(
 ) -> MagnitudeReport:
     """Measure a coloring: per color class, scale components and their diameters.
 
-    The magnitude is the maximum component diameter over all color classes.
-    Works for whole-space colorings and per-piece (subset) colorings alike.
+    The magnitude is the maximum component diameter over all color classes;
+    each color's witness is the diameter_witness pair of its first component
+    of largest diameter. Works for whole-space colorings and per-piece
+    (subset) colorings alike.
     """
     classes: dict[int, list[int]] = {}
     for v, c in colors.items():
@@ -173,19 +182,22 @@ def magnitude_report(
     if color_range is not None:
         for c in range(color_range):
             classes.setdefault(c, [])
+    comps = {
+        c: graph.scale_components(members, pred) if members else [] for c, members in sorted(classes.items())
+    }
+    measured = iter(graph.diameters([comp for parts in comps.values() for comp in parts]))
     per_color = []
     overall = 0
     overall_witness: tuple[int, int] | None = None
-    for c in sorted(classes):
-        members = classes[c]
-        best = 0
-        best_witness: tuple[int, int] | None = None
-        comps = graph.scale_components(members, pred) if members else []
-        for comp in comps:
-            diam, pair = graph.diameter_witness(comp)
+    for c, parts in comps.items():
+        best, first, best_witness = 0, None, None
+        for comp in parts:
+            diam, pair = next(measured)
             if diam > best:
-                best, best_witness = diam, pair
-        per_color.append(ColorClassReport(c, len(comps), best, best_witness))
+                best, first, best_witness = diam, comp, pair
+        if first is not None and best_witness is None:
+            best_witness = graph.diameter_witness(first)[1]
+        per_color.append(ColorClassReport(c, len(parts), best, best_witness))
         if best > overall:
             overall, overall_witness = best, best_witness
     return MagnitudeReport(tuple(per_color), overall, overall_witness)
@@ -480,9 +492,11 @@ def base_component(
     space.require_valid()
     if recolored[base] != 0:
         raise ValueError(f"base vertex {base} of piece {pid} is not color 0")
-    zero = [v for v, c in recolored.items() if c == 0]
-    parts = space.graph.piece_components(space.pieces[pid], zero, setup.chain)
-    return next(part for part in parts if base in part)
+    verts = sorted(space.pieces[pid])
+    zero = [0 if recolored[v] == 0 else -1 for v in verts]
+    comp = space.graph.piece_diameters(verts, zero, setup.chain.max_step)[0].tolist()
+    mine = comp[verts.index(base)]
+    return frozenset(v for v, k in zip(verts, comp) if k == mine)
 
 
 def finalize_piece_coloring(
@@ -500,6 +514,14 @@ def finalize_piece_coloring(
     )
 
 
+def _piece_magnitude(space: Space, pid: int, raw: Mapping[int, int], pred: ChainPredicate) -> int:
+    """Magnitude of a coloring of exactly the vertices of piece pid: the same
+    number as magnitude_report, read in one pass over the piece's table."""
+    space.require_valid()
+    verts = sorted(space.pieces[pid])
+    return int(space.graph.piece_diameters(verts, [raw[v] for v in verts], pred.max_step)[1].max())
+
+
 def compute_piece_magnitude(
     space: Space, raw_colorings: Mapping[int, Mapping[int, int]], setup: ScaleSetup
 ) -> int:
@@ -507,8 +529,7 @@ def compute_piece_magnitude(
     written back into the setup (which refreshes the color period)."""
     worst = setup.r
     for pid in sorted(raw_colorings):
-        report = magnitude_report(space.graph, raw_colorings[pid], setup.chain)
-        worst = max(worst, report.magnitude)
+        worst = max(worst, _piece_magnitude(space, pid, raw_colorings[pid], setup.chain))
     setup.set_piece_magnitude(worst)
     return worst
 
@@ -529,7 +550,7 @@ def certify_piece_colorings(
         bad = {c for c in raw.values() if not (0 <= c <= setup.n)}
         if bad:
             raise CertificationError(f"piece {pid}: colors {sorted(bad)} outside 0..{setup.n}")
-        got = magnitude_report(space.graph, raw, setup.chain).magnitude
+        got = _piece_magnitude(space, pid, raw, setup.chain)
         if got > declared:
             raise CertificationError(
                 f"piece {pid}: scale-{setup.r} magnitude {got} exceeds declared {declared}"

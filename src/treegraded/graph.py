@@ -64,16 +64,32 @@ vertex set S:
                      value(a) + d_P(a, x), read from P's table. The pass
                      costs anchors x (members + spanned children) entries per
                      spanned piece, so a subset inside one piece reads one
-                     block of that piece's table. x's row, memoised or
-                     composed on S alone, then gives y.
+                     block of that piece's table. A walk of the spanned
+                     pieces out from x's home piece, each entered at one
+                     vertex, then gives x's distance to every member, and y.
 
-piece_components answers scale components inside one kept piece from that
-piece's table alone, in O(|S|^2) with no V-length array.
+Inside one kept piece P the table already holds every distance, so
+piece_diameters measures all classes of a labelling of P in one numpy pass
+over P's rows, with no per-class search: it splits each class into chain
+components (the pairs of a block within the step, joined as in
+scale_components) and takes each component's diameter as the largest entry
+between its members. Skipped vertices are left out, and the labelled rows
+are read a block of at most _BLOCK_ENTRIES / 2 entries at a time: views of the
+table when every vertex is labelled, else a gathered block of the labelled
+rows and columns. So a pass holds at most one such block and a few boolean
+masks of one, the block's pairs still apart when classes split, and O(|P|)
+arrays: within the bytes of one int32 block of _BLOCK_ENTRIES entries, plus
+the pairs.
+diameters measures many disjoint sets at once: those inside one piece in one
+pass per piece, the others, which span pieces, by diameter_witness. A pass
+finds no witness pair; a caller that needs one asks diameter_witness for that
+one set.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -101,15 +117,15 @@ def _all_pairs(sp: csr_matrix) -> np.ndarray:
     return dist
 
 
-def _union_labels(k: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Component labels of nodes 0..k-1 joined by the pairs (a[i], b[i]).
+def _union_labels(labels: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The component labels of labels (each node pointing at the smallest node
+    of its component; np.arange for no joins) after also joining the pairs
+    (a[i], b[i]).
 
-    Each node is labelled with the smallest node of its component. Every round
-    hooks the larger root of each joined pair onto the smaller one, then jumps
-    pointers until every node points at a root; pointers only decrease, so the
-    roots are the component minima.
+    Every round hooks the larger root of each joined pair onto the smaller
+    one, then jumps pointers until every node points at a root; pointers only
+    decrease, so the roots are the component minima.
     """
-    labels = np.arange(k)
     while True:
         la, lb = labels[a], labels[b]
         differ = la != lb
@@ -388,18 +404,18 @@ class Graph:
                     gap[p] = gap[q] + flat.item(off[q] + gate[q] * size[q] + local.item(cut[p]))
         return attach, gate, gap
 
-    def _compose(self, sources: np.ndarray, cols: np.ndarray | None) -> np.ndarray:
-        """int32 distances from each source (axis 0) to each of cols (axis 1;
-        every vertex when None), composed from the tables and not memoised.
+    def _compose(self, sources: np.ndarray) -> np.ndarray:
+        """int32 distances from each source to every vertex, composed from the
+        tables and not memoised.
 
         For the sources placed by one piece k, d(u, x) = d_k(u, pi(x)) +
         d(pi(x), x), with pi(x) the projection of x onto k (_gates): one
         gather from k's table for all of them.
         """
         t = self._ensure_tables()
-        home, local = (t.home, t.local) if cols is None else (t.home[cols], t.local[cols])
+        home, local = t.home, t.local
         off, size = np.array(t.off, dtype=np.int64), np.array(t.size, dtype=np.int64)
-        homes = t.home[sources]
+        homes = home[sources]
         out = np.empty((sources.size, home.size), dtype=np.int32)
         for k in np.unique(homes).tolist():
             attach, gate, gap = (np.array(a, dtype=np.int64) for a in self._gates(k))
@@ -428,7 +444,7 @@ class Graph:
         height = max(1, _BLOCK_ENTRIES // n)
         for lo in range(0, missing.size, height):
             chunk = missing[lo : lo + height]
-            self._rows[filled : filled + chunk.size] = self._compose(chunk, None)
+            self._rows[filled : filled + chunk.size] = self._compose(chunk)
             self._slot[chunk] = np.arange(filled, filled + chunk.size)
             filled += chunk.size
         self._filled = filled
@@ -598,36 +614,137 @@ class Graph:
                     best, i = e, mine[j]
             up.update(zip(ks, reach[len(mine) :].tolist()))
         x = arr.item(i)
-        slot = self._slot.item(x)
-        dists = self._rows[slot].take(arr) if slot >= 0 else self._compose(np.array([x]), arr)[0]
+        # y: walk the spanned pieces out from x's home piece; paths from x
+        # enter each piece at one vertex, whose row and distance from x are kept
+        entry = {t.home.item(x): (rows[i], 0)}
+        stack = list(entry)
+        dists = np.empty(arr.size, dtype=np.int64)
+        while stack:
+            p = stack.pop()
+            row, d = entry[p]
+            table = t.table(p)
+            mine = held.get(p, [])
+            dists[mine] = d + table[row, [rows[j] for j in mine]]
+            ways = [(q, t.cut_row[q], t.local.item(t.cut[q])) for q in kids.get(p, [])]
+            if p != top:
+                ways.append((t.parent[p], t.local.item(t.cut[p]), t.cut_row[p]))
+            for q, there, here in ways:
+                if q not in entry:
+                    entry[q] = (there, d + table.item(row, here))
+                    stack.append(q)
         return best, (x, arr.item(dists.argmax()))
 
-    def _rows_in(self, k: int, members: np.ndarray, homes: np.ndarray) -> np.ndarray:
-        """Rows of members, whose home pieces are homes, in piece k's table;
-        -1 for a member not in piece k."""
-        t = self._tables
-        at = t.local[members]
-        away = homes != k
-        if away.any():
-            at[away] = -1
-            at[members == t.cut[k]] = t.cut_row[k]
-        return at
-
-    def piece_components(self, piece: Iterable[int], subset: Iterable[int], pred: ChainPredicate) -> list[frozenset[int]]:
-        """scale_components of a subset of one kept piece, read from that
-        piece's own table: O(|piece| + |subset|^2), with no V-length array."""
+    def _kept_piece(self, piece: Iterable[int]) -> int:
+        """Index of the kept table whose piece has exactly the vertices of piece."""
         t = self._ensure_tables()
         verts = self._members(piece)
-        homes = t.home[verts]
-        k = int(homes.max())
-        if verts.size != t.size[k] or self._rows_in(k, verts, homes).min() < 0:
-            raise GraphError(f"no table is kept for piece {verts.tolist()[:4]}")
-        members = self._members(subset)
-        at = self._rows_in(k, members, t.home[members])
-        if (at < 0).any():
-            raise GraphError(f"vertex {int(members[np.argmin(at)])} is not in piece {verts.tolist()[:4]}")
-        near = t.table(k)[np.ix_(at, at)] <= pred.max_step
-        return _parts(members, _union_labels(members.size, *np.nonzero(near)))
+        if verts.size:
+            homes = t.home[verts]
+            k = int(homes.max())
+            # piece k places all of its vertices but its cut
+            if verts.size == t.size[k] and ((homes == k) | (verts == t.cut[k])).all():
+                return k
+        raise GraphError(f"no table is kept for piece {verts.tolist()[:4]}")
+
+    def piece_diameters(
+        self, piece: Iterable[int], labels: ArrayLike, max_step: int | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Components of the classes of one kept piece and their diameters,
+        read from that piece's table alone.
+
+        labels holds a class for each vertex of piece, in sorted vertex order;
+        a negative label skips the vertex. Without max_step each class is one
+        component; with it, each class splits into its chain components (steps
+        d <= max_step). Components are numbered by class, then by smallest
+        vertex. Returns each vertex's component (-1 when skipped) and each
+        component's diameter.
+        """
+        k = self._kept_piece(piece)
+        labels = np.asarray(labels, dtype=np.int64)
+        if labels.shape != (self._tables.size[k],):
+            raise GraphError(f"piece of {self._tables.size[k]} vertices got labels of shape {labels.shape}")
+        return self._piece_pass(k, labels, max_step)
+
+    def _piece_pass(self, k: int, labels: np.ndarray, max_step: int | None) -> tuple[np.ndarray, np.ndarray]:
+        """piece_diameters on piece k's table, restricted to the labelled
+        vertices and read a block of at most _BLOCK_ENTRIES entries at a time:
+        one pass joins the chain steps, one takes each row's farthest member
+        of its own component."""
+        table = self._tables.table(k)
+        at = np.flatnonzero(labels >= 0)
+        n = at.size
+        labels = labels[at].astype(np.int32)  # int32 compares twice as fast as int64
+        # half blocks: a gathered int32 block and its masks then stay within
+        # the bytes of one int32 block of _BLOCK_ENTRIES entries
+        height = max(1, _BLOCK_ENTRIES // (2 * max(n, 1)))
+
+        def rows(lo: int) -> np.ndarray:  # from labelled vertices lo.. to every labelled vertex
+            if n == table.shape[0]:
+                return table[lo : lo + height]  # a view
+            return table[np.ix_(at[lo : lo + height], at)]
+
+        if max_step is None:  # each class is one component, headed by its first vertex
+            _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+            roots = first[inverse]
+        else:
+            roots = np.arange(n, dtype=np.int32)
+            for lo in range(0, n, height):
+                near = (rows(lo) <= max_step) & (labels[lo : lo + height, None] == labels)
+                here = np.arange(lo, lo + near.shape[0])
+                # join each row to its first near column, then the pairs still apart
+                roots = _union_labels(roots, here, near.argmax(axis=1))
+                near &= roots[here, None] != roots
+                i = np.flatnonzero(near)
+                roots = _union_labels(roots, i // n + lo, i % n)
+        # number the components by class, then by smallest vertex
+        heads = np.flatnonzero(roots == np.arange(n))
+        heads = heads[np.argsort(labels[heads], kind="stable")]
+        rank = np.empty(n, dtype=np.int32)
+        rank[heads] = np.arange(heads.size)
+        mine = rank[roots]
+        diam = np.zeros(heads.size, dtype=table.dtype)
+        for lo in range(0, n, height):
+            own = mine[lo : lo + height]
+            np.maximum.at(diam, own, rows(lo).max(axis=1, where=own[:, None] == mine, initial=0))
+        comp = np.full(table.shape[0], -1, dtype=np.int32)
+        comp[at] = mine
+        return comp, diam
+
+    def diameters(self, parts: Sequence[Iterable[int]]) -> list[tuple[int, tuple[int, int] | None]]:
+        """The diameter of each of the disjoint, non-empty vertex sets parts,
+        with its diameter_witness pair when the set spans pieces.
+
+        The sets inside one kept piece are measured together, one pass over
+        each such piece's table (piece_diameters), and get no pair; the
+        others are measured by diameter_witness.
+        """
+        t = self._ensure_tables()
+        sizes = [len(part) for part in parts]
+        if 0 in sizes:
+            raise GraphError("diameter of an empty subset")
+        members = self._vertex_array(
+            np.fromiter(itertools.chain.from_iterable(parts), dtype=np.int64, count=sum(sizes))
+        )
+        which = np.repeat(np.arange(len(parts)), sizes)
+        homes = t.home[members]
+        top = np.zeros(len(parts), dtype=np.int64)  # the last-placed piece each set meets
+        np.maximum.at(top, which, homes)
+        k = top[which]
+        inside = (homes == k) | (members == np.array(t.cut, dtype=np.int64)[k])
+        spans = np.zeros(len(parts), dtype=bool)
+        spans[which[~inside]] = True
+        out: list[tuple[int, tuple[int, int] | None]] = [(0, None)] * len(parts)
+        for i in np.flatnonzero(spans).tolist():
+            out[i] = self.diameter_witness(parts[i])
+        at = np.flatnonzero(~spans[which])
+        at = at[np.argsort(k[at], kind="stable")]
+        held, starts = np.unique(k[at], return_index=True)
+        for q, run in zip(held.tolist(), np.split(at, starts[1:])):
+            labels = np.full(t.size[q], -1, dtype=np.int64)
+            labels[np.where(homes[run] == q, t.local[members[run]], t.cut_row[q])] = which[run]
+            for i, diam in zip(np.unique(which[run]).tolist(), self._piece_pass(q, labels, None)[1].tolist()):
+                out[i] = (diam, None)
+        return out
 
     def scale_components(self, subset: Iterable[int], pred: ChainPredicate) -> list[frozenset[int]]:
         """Partition of subset into maximal scale-r connected components under pred.
@@ -647,7 +764,7 @@ class Graph:
         us, vs = self._ends
         joined = delta[us] + delta[vs] < step  # delta(w) + 1 + delta(w') <= step
         labels = _union_labels(
-            members.size,
+            np.arange(members.size),
             np.searchsorted(members, nearest[us[joined]]),
             np.searchsorted(members, nearest[vs[joined]]),
         )

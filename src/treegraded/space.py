@@ -236,12 +236,12 @@ class Space:
         for v in range(self.graph.vertex_count):
             if not incid[v]:
                 out.append(Violation("EDGE_COVER", {"vertex": v, "reason": "vertex in no piece"}))
-        for u, v in sorted(self.graph.edges):
-            if not any(v in self.pieces[p] for p in incid[u]):
-                out.append(Violation("EDGE_COVER", {"edge": (u, v), "reason": "uncovered"}))
-        for p in range(len(self.pieces)):
-            for q in range(len(self.pieces)):
-                if p != q and self.pieces[p] < self.pieces[q]:
+        for e in sorted(self.graph.edges.difference(self.piece_of_edge)):
+            out.append(Violation("EDGE_COVER", {"edge": e, "reason": "uncovered"}))
+        for p, piece in enumerate(self.pieces):
+            # a piece holding all of p's vertices holds its smallest one
+            for q in incid[min(piece)]:
+                if p != q and piece < self.pieces[q]:
                     out.append(
                         Violation("EDGE_COVER", {"reason": "piece contained in piece", "inner": p, "outer": q})
                     )

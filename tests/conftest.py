@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import strategies as st
 
-from treegraded.forge import ForgeSpec, PieceTemplate, gen_random
+from treegraded.forge import ForgeSpec, PieceTemplate, gen_free_product_model, gen_random, subdivide_space
 from treegraded.graph import Graph
 from treegraded.space import Space
 
@@ -97,6 +97,28 @@ def forge_specs(
 @st.composite
 def small_spaces(draw, max_budget: int = 6) -> Space:
     return gen_random(draw(forge_specs(max_budget=max_budget)))
+
+
+def _validated(space: Space) -> Space:
+    assert space.validate().ok  # the metric is composed along the gluing tree
+    return space
+
+
+# validated spaces, whose metric is composed from their pieces' tables:
+# generated, subdivided and free-product spaces
+validated_spaces = st.one_of(
+    small_spaces(max_budget=4),
+    st.builds(subdivide_space, small_spaces(max_budget=2), st.integers(2, 3)),
+    st.builds(
+        lambda left, right, depth, seed: gen_free_product_model(
+            PieceTemplate.parse(left), PieceTemplate.parse(right), depth, attach_spacing=2, seed=seed
+        ),
+        st.sampled_from(TEMPLATE_POOL),
+        st.sampled_from(TEMPLATE_POOL),
+        st.integers(1, 2),
+        st.integers(0, 2**32),
+    ),
+).map(_validated)
 
 
 @st.composite

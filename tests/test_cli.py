@@ -6,12 +6,16 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
+from treegraded.cli import main
 from treegraded.formats import read_coloring, read_space, write_space
 
-from conftest import edge_piece_path, two_triangles_sharing_edge
+from treegraded.space import Space
+
+from conftest import edge_piece_path, path_graph, two_triangles_sharing_edge
 
 CLI = [sys.executable, "-m", "treegraded.cli"]
 
@@ -176,6 +180,31 @@ class TestMeasure:
         payload = json.loads(proc.stdout)
         assert payload["magnitude"] == 2
         assert payload["chain"] == "strict"
+
+    def test_invalid_space_is_still_measured(self, tmp_path):
+        space_file = tmp_path / "t1.tgspace"
+        write_space(two_triangles_sharing_edge(), str(space_file))
+        coloring = tmp_path / "one.tgcolor"
+        coloring.write_text("tgcolor 1\n" + "".join(f"{v} 0\n" for v in range(4)))
+        proc = run_cli("measure", str(space_file), str(coloring), "--r", 2)
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["witness"] == [0, 3]
+
+    def test_valid_space_is_measured_on_its_piece_tables(self, tmp_path, capsys):
+        n = 3000  # a path in four-edge pieces
+        space_file = tmp_path / "long.tgspace"
+        pieces = [set(range(i, min(i + 4, n - 1) + 1)) for i in range(0, n - 1, 4)]
+        write_space(Space(path_graph(n), pieces, 0), str(space_file))
+        coloring = tmp_path / "band.tgcolor"
+        coloring.write_text("tgcolor 1\n" + "".join(f"{v} {(v // 3) % 2}\n" for v in range(n)))
+        tracemalloc.start()
+        try:
+            assert main(["measure", str(space_file), str(coloring), "--r", "2"]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert json.loads(capsys.readouterr().out)["magnitude"] == 2
+        assert peak < n * n  # bytes: a quarter of one int32 n x n table
 
 
 class TestExperiment:

@@ -39,7 +39,7 @@ from treegraded.forge import (
     gen_random,
     subdivide_space,
 )
-from treegraded.graph import Graph, strict_chain, weak_chain
+from treegraded.graph import _BLOCK_ENTRIES, ChainPredicate, Graph, strict_chain, weak_chain
 from treegraded.oracles import brute_magnitude, brute_scale_components
 from treegraded.space import Space
 
@@ -50,6 +50,7 @@ from conftest import (
     path_graph,
     single_piece_path,
     small_spaces,
+    validated_spaces,
 )
 
 
@@ -369,6 +370,76 @@ class TestMagnitude:
         strict = magnitude_report(space.graph, colors, strict_chain(r)).magnitude
         weak = magnitude_report(space.graph, colors, weak_chain(r)).magnitude
         assert weak >= strict
+
+
+def ambient_report(graph: Graph, colors: dict[int, int], pred: ChainPredicate) -> dict:
+    """magnitude_report the ambient way: one diameter_witness call per component."""
+    classes: dict[int, list[int]] = {}
+    for v, c in colors.items():
+        classes.setdefault(c, []).append(v)
+    per_color, overall, witness = [], 0, None
+    for c in sorted(classes):
+        comps = graph.scale_components(classes[c], pred)
+        best, pair = 0, None
+        for comp in comps:
+            diam, at = graph.diameter_witness(comp)
+            if diam > best:
+                best, pair = diam, at
+        per_color.append(
+            {"color": c, "components": len(comps), "max_diameter": best, "witness": list(pair) if pair else None}
+        )
+        if best > overall:
+            overall, witness = best, pair
+    return {"magnitude": overall, "witness": list(witness) if witness else None, "per_color": per_color}
+
+
+class TestPieceTableRoute:
+    """Piece magnitudes and whole-space reports, read from the pieces' tables,
+    against the brute-force oracles and the ambient route."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(validated_spaces, st.integers(2, 6), st.sampled_from(["strict", "weak"]), st.data())
+    def test_reports_match_ambient_route_and_oracle(self, space, r, mode, data):
+        g = space.graph
+        pred = ChainPredicate(mode, r)
+        n = g.vertex_count
+        colors = dict(enumerate(data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))))
+        report = magnitude_report(g, colors, pred)
+        assert report.to_dict() == ambient_report(g, colors, pred)
+        assert report.magnitude == brute_magnitude(g, colors, pred)
+
+    @settings(max_examples=40, deadline=None)
+    @given(validated_spaces, st.integers(2, 6), st.data())
+    def test_piece_magnitudes_match_oracle(self, space, r, data):
+        setup = ScaleSetup(r=r, n=2)
+        raw = {
+            pid: dict(zip(sorted(piece), data.draw(st.lists(st.integers(0, 2), min_size=len(piece), max_size=len(piece)))))
+            for pid, piece in enumerate(space.pieces)
+        }
+        per_piece = [brute_magnitude(space.graph, raw[pid], setup.chain) for pid in sorted(raw)]
+        assert compute_piece_magnitude(space, raw, setup) == max(r, *per_piece)
+        certify_piece_colorings(space, raw, setup, declared=max(per_piece))
+        if max(per_piece) > 0:
+            with pytest.raises(CertificationError):
+                certify_piece_colorings(space, raw, setup, declared=max(per_piece) - 1)
+
+    # one component of the whole cycle; many short arcs; every other vertex
+    # colored, so that the pass gathers its blocks
+    @pytest.mark.parametrize("period, stride, magnitude", [(3000, 1, 1500), (7, 1, 6), (3000, 2, 1500)])
+    def test_report_on_long_cycle_reads_one_block_at_a_time(self, period, stride, magnitude):
+        n = 3000
+        g = cycle_graph(n)
+        g.dist_row(0)  # the cycle's one n x n table exists before anything is traced
+        colors = {v: (v // period) % 3 for v in range(0, n, stride)}
+        tracemalloc.start()
+        try:
+            report = magnitude_report(g, colors, strict_chain(3))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.magnitude == magnitude
+        # one int32 block of table rows, plus O(n) index and result arrays
+        assert peak < 4 * _BLOCK_ENTRIES + 2**20
 
 
 class TestNoQuadraticMemory:

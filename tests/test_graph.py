@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treegraded.forge import PieceTemplate, gen_free_product_model, subdivide_space
 from treegraded.graph import (
     _BLOCK_ENTRIES,
     ChainPredicate,
@@ -22,35 +21,21 @@ from treegraded.graph import (
 from treegraded.oracles import bfs_dists, brute_scale_components, floyd_warshall
 
 from conftest import (
-    TEMPLATE_POOL,
     chain_of_three_paths,
     connected_graphs,
     cycle_graph,
     path_graph,
     small_spaces,
+    validated_spaces,
 )
 
 
 def _validated_graph(space) -> Graph:
-    assert space.validate().ok  # the matrix is composed along the gluing tree
+    assert space.validate().ok  # the metric is composed along the gluing tree
     return space.graph
 
 
-# validated spaces, whose metric is composed from their pieces' tables:
-# generated, subdivided and free-product spaces
-composed_graphs = st.one_of(
-    small_spaces(max_budget=4).map(_validated_graph),
-    st.builds(subdivide_space, small_spaces(max_budget=2), st.integers(2, 3)).map(_validated_graph),
-    st.builds(
-        lambda left, right, depth, seed: gen_free_product_model(
-            PieceTemplate.parse(left), PieceTemplate.parse(right), depth, attach_spacing=2, seed=seed
-        ),
-        st.sampled_from(TEMPLATE_POOL),
-        st.sampled_from(TEMPLATE_POOL),
-        st.integers(1, 2),
-        st.integers(0, 2**32),
-    ).map(_validated_graph),
-)
+composed_graphs = validated_spaces.map(lambda space: space.graph)
 
 # graphs the measurement routes meet: composed ones, plus plain cycles and
 # paths (one piece each), where Voronoi ties are common
@@ -186,16 +171,25 @@ class TestComposedEngine:
                 for comp in g.scale_components(members, strict_chain(r)):
                     assert g.diameter_witness(comp) == first_row_major_max(ref, sorted(comp))
 
-    def test_piece_components_reject_outside_vertex(self):
+    def test_piece_diameters_reject_foreign_piece(self):
         space = chain_of_three_paths()  # pieces {0,1,2}, {2,3,4}, {4,5,6}
         g = _validated_graph(space)
         middle = space.pieces[1]
-        assert g.piece_components(middle, {2, 3, 4}, strict_chain(2)) == [frozenset({2, 3, 4})]
-        assert g.piece_components(middle, {2, 4}, strict_chain(2)) == [frozenset({2}), frozenset({4})]
-        with pytest.raises(GraphError):
-            g.piece_components(middle, {3, 5}, strict_chain(2))
+        comp, diam = g.piece_diameters(middle, [0, 0, 0], max_step=1)
+        assert comp.tolist() == [0, 0, 0] and diam.tolist() == [2]
+        comp, diam = g.piece_diameters(middle, [0, -1, 0], max_step=1)
+        assert comp.tolist() == [0, -1, 1] and diam.tolist() == [0, 0]
+        comp, diam = g.piece_diameters(middle, [0, -1, 0])
+        assert comp.tolist() == [0, -1, 0] and diam.tolist() == [2]
+        with pytest.raises(GraphError):  # one label per vertex of the piece
+            g.piece_diameters(middle, [0, 0])
         with pytest.raises(GraphError):  # not a piece of the placement
-            g.piece_components({2, 3}, {2, 3}, strict_chain(2))
+            g.piece_diameters({2, 3}, [0, 0])
+        with pytest.raises(GraphError):
+            g.piece_diameters({3, 4, 5}, [0, 0, 0])
+        # a plain graph is kept as one piece
+        comp, diam = path_graph(5).piece_diameters(range(5), [1, 1, 0, 1, 1], max_step=1)
+        assert comp.tolist() == [1, 1, 0, 2, 2] and diam.tolist() == [0, 1, 1]
 
 
 class TestCanonicalGeodesic:
@@ -292,6 +286,55 @@ class TestScaleComponents:
                 gap = min(g.shortest_dist(u, v) for u in a for v in b)
                 assert gap > pred.max_step
         assert parts == brute_scale_components(g, subset, pred)
+
+
+def brute_piece_diameters(g: Graph, verts: list[int], labels: list[int], max_step: int | None):
+    """piece_diameters from the oracles: brute components per class in class
+    order, then by smallest vertex, and Floyd-Warshall diameters."""
+    ref = floyd_warshall(g)
+    comp, diam = [-1] * len(verts), []
+    for c in sorted({c for c in labels if c >= 0}):
+        members = [v for v, label in zip(verts, labels) if label == c]
+        parts = [frozenset(members)] if max_step is None else brute_scale_components(g, members, weak_chain(max_step) if max_step else strict_chain(1))
+        for part in parts:
+            for i, v in enumerate(verts):
+                if v in part:
+                    comp[i] = len(diam)
+            diam.append(first_row_major_max(ref, sorted(part))[0])
+    return comp, diam
+
+
+class TestPieceDiameters:
+    """One pass over a kept piece's table against the brute-force oracles."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(validated_spaces, st.data())
+    def test_every_piece_matches_brute_force(self, space, data):
+        g = space.graph
+        for piece in space.pieces:
+            verts = sorted(piece)
+            labels = data.draw(st.lists(st.integers(-1, 2), min_size=len(verts), max_size=len(verts)))
+            for max_step in (None, 0, 1, 2, 3, 5, 8):
+                comp, diam = g.piece_diameters(piece, labels, max_step)
+                assert (comp.tolist(), diam.tolist()) == brute_piece_diameters(g, verts, labels, max_step)
+
+    @settings(max_examples=40, deadline=None)
+    @given(measured_graphs, st.data())
+    def test_diameters_of_disjoint_sets(self, g: Graph, data):
+        n = g.vertex_count
+        labels = data.draw(st.lists(st.integers(-1, 4), min_size=n, max_size=n))
+        parts = [{v for v in range(n) if labels[v] == c} for c in range(5)]
+        parts = [part for part in parts if part]
+        ref = floyd_warshall(g)
+        measured = g.diameters(parts)
+        for part, (diam, pair) in zip(parts, measured):
+            want = first_row_major_max(ref, sorted(part))
+            assert diam == want[0]
+            assert pair is None or (diam, pair) == want == g.diameter_witness(part)
+
+    def test_diameters_reject_empty_sets(self):
+        with pytest.raises(GraphError):
+            path_graph(3).diameters([{0}, set()])
 
 
 class TestMeasurementRoutes:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from treegraded import checks
 from treegraded.assemble import color_space
-from treegraded.coloring import ScaleSetup, build_piece_colorings, natural_color_count
+from treegraded.coloring import BASE_COMPONENT_FACTOR, ScaleSetup, build_piece_colorings, natural_color_count
 from treegraded.forge import PieceTemplate, gen_free_product_model
 from treegraded.rng import SplitMix64
 
@@ -155,3 +155,97 @@ class TestWitnessReporting:
         )
         assert not broken.ok
         assert all("vertex" in w and "projection" in w for w in broken.violations)
+
+
+def ambient_in_piece_hits(space, setup, colorings, coloring):
+    """The three in-piece checks measured the ambient way, one scale_components
+    search per color class and one diameter_witness call per set: (checked,
+    every hit in order) per check name, offsets left out."""
+    g = space.graph
+    magnitude = setup.require_magnitude()
+    small, wide = BASE_COMPONENT_FACTOR * magnitude, checks.IN_PIECE_CHAIN_FACTOR * magnitude
+    out = {}
+    checked, hits = 0, []
+    for pid, pc in colorings.items():
+        checked += 1
+        diam, pair = g.diameter_witness(pc.base_component)
+        if diam > small:
+            hits.append({"piece": pid, "diameter": diam, "bound": small, "witness": pair})
+    out["base_component_bound"] = checked, hits
+    checked, hits = 0, []
+    for pid in colorings:
+        by_color = {}
+        for x in space.pieces[pid]:
+            by_color.setdefault(coloring[x], []).append(x)
+        for c, members in sorted(by_color.items()):
+            for comp in g.scale_components(members, setup.chain):
+                checked += 1
+                diam, pair = g.diameter_witness(comp)
+                if diam > small:
+                    hits.append({"piece": pid, "color": c, "diameter": diam, "bound": small, "witness": pair})
+    out["piece_offset"] = checked, hits
+    checked, hits = 0, []
+    by_color = {}
+    for v, c in enumerate(coloring.colors):
+        by_color.setdefault(c, []).append(v)
+    for c, members in sorted(by_color.items()):
+        for comp in g.scale_components(members, setup.chain):
+            per_piece = {}
+            for v in comp:
+                for pid in space.pieces_of_vertex[v]:
+                    per_piece.setdefault(pid, []).append(v)
+            for pid, verts in sorted(per_piece.items()):
+                if len(verts) > 1:
+                    checked += 1
+                    diam, pair = g.diameter_witness(verts)
+                    if diam > wide:
+                        hits.append({"piece": pid, "color": c, "distance": diam, "bound": wide, "witness": pair})
+    out["in_piece_chain_distance"] = checked, hits
+    return out
+
+
+def assert_in_piece_checks_match_ambient(space, r, magnitude=None):
+    setup, colorings, coloring = full_cell(space, r)
+    if magnitude is not None:
+        setup.piece_magnitude = magnitude  # forces violations, witnesses and suppression
+    results = [
+        checks.check_base_component_bound(space, setup, colorings),
+        checks.check_piece_offset(space, setup, colorings, coloring),
+        checks.check_in_piece_chain_distance(space, setup, coloring),
+    ]
+    want = ambient_in_piece_hits(space, setup, colorings, coloring)
+    for res in results:
+        checked, hits = want[res.name]
+        offsets = sum(len(space.pieces[pid]) - 1 for pid in colorings) if res.name == "piece_offset" else 0
+        assert res.checked - offsets == checked, res.name
+        assert res.violations == hits[: checks.MAX_WITNESSES], res.name
+        assert res.info.get("suppressed", 0) == max(0, len(hits) - checks.MAX_WITNESSES), res.name
+    return results
+
+
+class TestInPieceRoutes:
+    """The in-piece checks read each piece's table in one pass; their counts,
+    violations and witnesses must equal the ambient route's."""
+
+    @pytest.mark.parametrize("magnitude", [None, 1, 0])
+    @pytest.mark.parametrize(
+        "space",
+        [
+            lambda: tripod_space(arm=8),
+            lambda: gen_free_product_model(
+                PieceTemplate.parse("grid:6x6"), PieceTemplate.parse("path:8"), depth=3, attach_spacing=3
+            ),
+            lambda: gen_free_product_model(
+                PieceTemplate.parse("cycle:9"), PieceTemplate.parse("path:30"), depth=2, attach_spacing=2
+            ),
+        ],
+    )
+    def test_forced_violations_carry_ambient_witnesses(self, space, magnitude):
+        results = assert_in_piece_checks_match_ambient(space(), 2, magnitude)
+        if magnitude == 0:  # every bound is 0
+            assert all(not res.ok for res in results)
+
+    @settings(max_examples=10, deadline=None)
+    @given(small_spaces(max_budget=5), st.sampled_from([2, 3, 4]), st.sampled_from([None, 1, 0]))
+    def test_generated_spaces(self, space, r, magnitude):
+        assert_in_piece_checks_match_ambient(space, r, magnitude)

@@ -67,6 +67,36 @@ class TestValidate:
         ]
         assert reasons and reasons[0].witness["inner"] == 1
 
+    def test_edge_cover_violations_in_order(self):
+        # vertices 4 and 5 lie in no piece, edges (3, 4) and (4, 5) in none;
+        # pieces 0 and 2 lie inside piece 1, and piece 3 inside piece 1 too
+        space = Space(path_graph(6), [{1, 2}, {0, 1, 2, 3}, {2, 3}, {0, 1}], 0)
+        assert space._check_edge_cover() == [
+            Violation("EDGE_COVER", {"vertex": 4, "reason": "vertex in no piece"}),
+            Violation("EDGE_COVER", {"vertex": 5, "reason": "vertex in no piece"}),
+            Violation("EDGE_COVER", {"edge": (3, 4), "reason": "uncovered"}),
+            Violation("EDGE_COVER", {"edge": (4, 5), "reason": "uncovered"}),
+            Violation("EDGE_COVER", {"reason": "piece contained in piece", "inner": 0, "outer": 1}),
+            Violation("EDGE_COVER", {"reason": "piece contained in piece", "inner": 2, "outer": 1}),
+            Violation("EDGE_COVER", {"reason": "piece contained in piece", "inner": 3, "outer": 1}),
+        ]
+
+    def test_containment_compares_only_pieces_sharing_a_vertex(self):
+        # every edge of a 1,500-vertex path its own piece, plus one repeated piece
+        n = 1500
+
+        class Counted(frozenset):
+            comparisons = 0
+
+            def __lt__(self, other):
+                Counted.comparisons += 1
+                return frozenset.__lt__(self, other)
+
+        space = Space(path_graph(n), [{i, i + 1} for i in range(n - 1)] + [{0, 1}], 0)
+        space.pieces = tuple(Counted(piece) for piece in space.pieces)
+        assert "EDGE_COVER" not in {v.axiom for v in space.validate().violations}  # equal pieces contain no other
+        assert Counted.comparisons <= 2 * len(space.pieces)
+
     def test_one_point_piece_rejected(self):
         space = Space(path_graph(3), [{0, 1}, {1, 2}, {2}], 0)
         axioms = [v.axiom for v in space.validate().violations]
