@@ -46,6 +46,7 @@ import numpy as np
 from .assemble import decompose_path, trace
 from .coloring import (
     BASE_COMPONENT_FACTOR,
+    MagnitudeReport,
     PieceColoring,
     ScaleSetup,
     SpaceColoring,
@@ -320,14 +321,11 @@ def check_base_component_bound(
     space: Space, setup: ScaleSetup, colorings: Mapping[int, PieceColoring]
 ) -> CheckResult:
     res = CheckResult("base_component_bound")
-    g = space.graph
     bound = BASE_COMPONENT_FACTOR * setup.require_magnitude()
     for pid, pc in colorings.items():
         res.checked += 1
-        verts = sorted(space.pieces[pid])
-        base = [0 if v in pc.base_component else -1 for v in verts]
-        if g.piece_diameters(verts, base)[1].item(0) > bound:
-            diam, pair = g.diameter_witness(pc.base_component)
+        if pc.base_diameter > bound:
+            diam, pair = space.graph.diameter_witness(pc.base_component)
             res.hit({"piece": pid, "diameter": diam, "bound": bound, "witness": pair})
     return res
 
@@ -406,19 +404,6 @@ def check_near_projection_color(
     return res
 
 
-class _ClassChains:
-    """Chain-step structure of one color class, built once and reused."""
-
-    def __init__(self, space: Space, members: list[int]):
-        self.idx = {v: i for i, v in enumerate(members)}
-        self.arr = np.asarray(members, dtype=np.int64)
-        self.sub = space.graph.dist_block(self.arr, self.arr)
-
-    def chain_between(self, max_step: int, x: int, y: int) -> list[int] | None:
-        arr, idx, sub = self.arr, self.idx, self.sub
-        return _chain_search(arr, idx, sub, max_step, x, y)
-
-
 def _chain_search(arr, idx, sub, max_step: int, x: int, y: int) -> list[int] | None:
     """Explicit chain from x to y inside the class with steps <= max_step."""
     prev = {x: -1}
@@ -464,13 +449,7 @@ def check_projected_chain_color(
         for k, comp in enumerate(g.scale_components(members, weak)):
             for v in comp:
                 comp_id[c][v] = k
-    class_chains: dict[int, _ClassChains] = {}
-
-    def chains_for(c: int) -> _ClassChains:
-        if c not in class_chains:
-            class_chains[c] = _ClassChains(space, by_color[c])
-        return class_chains[c]
-
+    blocks: dict[int, tuple] = {}  # per color: members, their index, their distance block
     for pid, pc in colorings.items():
         proj = ana.proj_array(pid)
         piece = sorted(space.pieces[pid])
@@ -491,7 +470,10 @@ def check_projected_chain_color(
                         if used >= pairs_per_piece or tried >= 6:
                             break
                         x, y = group[i], group[j]
-                        chain = chains_for(c).chain_between(weak.max_step, x, y)
+                        if c not in blocks:
+                            arr = np.asarray(by_color[c], dtype=np.int64)
+                            blocks[c] = arr, {v: k for k, v in enumerate(by_color[c])}, g.dist_block(arr, arr)
+                        chain = _chain_search(*blocks[c], weak.max_step, x, y)
                         if chain is None:
                             continue
                         tried += 1
@@ -520,21 +502,18 @@ def check_projected_chain_color(
     return res
 
 
-def check_in_piece_chain_distance(
-    space: Space, setup: ScaleSetup, coloring: SpaceColoring
-) -> CheckResult:
+def check_in_piece_chain_distance(space: Space, setup: ScaleSetup, report: MagnitudeReport) -> CheckResult:
     """Same-color vertices of one piece in one same-color strict component must
-    be within 36x the piece magnitude."""
+    be within 36x the piece magnitude.
+
+    The components are those of report, the magnitude_report of the whole
+    space's coloring at setup.chain."""
     res = CheckResult("in_piece_chain_distance")
     g = space.graph
     bound = IN_PIECE_CHAIN_FACTOR * setup.require_magnitude()
-    by_color: dict[int, list[int]] = {}
-    for v, c in enumerate(coloring.colors):
-        by_color.setdefault(c, []).append(v)
     # ambient components numbered by color, then by smallest vertex
-    comps = [
-        comp for _, members in sorted(by_color.items()) for comp in g.scale_components(members, setup.chain)
-    ]
+    comps = [comp for parts in report.components.values() for comp in parts]
+    colors = [c for c, parts in report.components.items() for _ in parts]
     comp_of = np.empty(g.vertex_count, dtype=np.int64)
     for k, comp in enumerate(comps):
         comp_of[list(comp)] = k
@@ -551,7 +530,7 @@ def check_in_piece_chain_distance(
         res.hit(
             {
                 "piece": pid,
-                "color": coloring[min(comps[k])],
+                "color": colors[k],
                 "distance": diam,
                 "bound": bound,
                 "witness": pair,
@@ -565,25 +544,21 @@ def check_geodesic_chain_distance(
     setup: ScaleSetup,
     colorings: Mapping[int, PieceColoring],
     coloring: SpaceColoring,
+    report: MagnitudeReport,
     rng: SplitMix64,
     samples: int = 48,
 ) -> CheckResult:
     """Strict same-color chains from a vertex back onto its basepoint geodesic:
     when no long run strictly straddles the landing point, the landing point is
-    within 140x the piece magnitude."""
+    within 140x the piece magnitude.
+
+    The components are those of report, the magnitude_report of coloring at
+    setup.chain."""
     res = CheckResult("geodesic_chain_distance")
     space = ana.space
     g = space.graph
     bound = GEODESIC_CHAIN_FACTOR * setup.require_magnitude()
     max_step = setup.chain.max_step
-    by_color: dict[int, list[int]] = {}
-    for v, c in enumerate(coloring.colors):
-        by_color.setdefault(c, []).append(v)
-    comp_of: dict[int, frozenset[int]] = {}
-    for c, members in by_color.items():
-        for comp in g.scale_components(members, setup.chain):
-            for v in comp:
-                comp_of[v] = comp
     n = g.vertex_count
     targets = {rng.randint(0, n - 1) for _ in range(samples)}
     for x in sorted(targets):
@@ -591,7 +566,7 @@ def check_geodesic_chain_distance(
         gamma = tr.gamma
         if gamma.length == 0:
             continue
-        comp = sorted(comp_of[x])
+        comp = sorted(next(part for part in report.components[coloring[x]] if x in part))
         comp_arr = np.asarray(comp, dtype=np.int64)
         gamma_arr = np.asarray(gamma.vertices, dtype=np.int64)
         # rows of the short geodesic, not of the whole component
@@ -631,12 +606,16 @@ def cell_suite(
     setup: ScaleSetup,
     colorings: Mapping[int, PieceColoring],
     coloring: SpaceColoring,
+    report: MagnitudeReport,
     rng: SplitMix64,
     chain_samples: int = 250,
     trace_samples: int = 64,
     geodesic_chain_samples: int = 48,
 ) -> list[CheckResult]:
-    """Scale-dependent checks, run once per (space, r) cell."""
+    """Scale-dependent checks, run once per (space, r) cell.
+
+    report is the cell's magnitude_report of coloring, measured at
+    setup.chain: the checks read its color classes' scale components."""
     return [
         check_chain_entry_projection(ana, setup.r, rng, chain_samples),
         check_trace_shape(ana, setup, colorings, rng, trace_samples),
@@ -644,6 +623,6 @@ def cell_suite(
         check_piece_offset(ana.space, setup, colorings, coloring),
         check_near_projection_color(ana, setup, colorings, coloring),
         check_projected_chain_color(ana, setup, colorings, coloring),
-        check_in_piece_chain_distance(ana.space, setup, coloring),
-        check_geodesic_chain_distance(ana, setup, colorings, coloring, rng, geodesic_chain_samples),
+        check_in_piece_chain_distance(ana.space, setup, report),
+        check_geodesic_chain_distance(ana, setup, colorings, coloring, report, rng, geodesic_chain_samples),
     ]

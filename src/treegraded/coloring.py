@@ -27,10 +27,13 @@ Everything measured inside one piece is therefore read from that piece's
 table, one Graph.piece_diameters pass per piece: the magnitude of a raw piece
 coloring (compute_piece_magnitude, certify_piece_colorings), and the base
 component, the chain component of the base vertex among the piece's color-0
-vertices. These require a valid space. magnitude_report measures any coloring
-of the whole graph: one scale_components search per color class, then
-Graph.diameters, which reads the components inside one piece from that
-piece's table, and one diameter_witness call per color for the witness pair.
+vertices, with its diameter. These require a valid space. magnitude_report
+measures any coloring of the whole graph: one scale_components search per
+color class, then Graph.diameters, which reads the components inside one
+piece from that piece's table, and one diameter_witness call per color for
+the witness pair. The report keeps those components, and an experiment cell
+hands them to its property checks, so that each cell splits its coloring
+into classes and scale components once.
 
 A piece's shape does not depend on the scale, so classify_piece computes it
 once per space and piece and keeps it on the Space itself: a cache outside
@@ -122,6 +125,7 @@ class PieceColoring:
     recolored: dict[int, int]  # color 0 forced on the base ball
     basepoint: int
     base_component: frozenset[int]
+    base_diameter: int
 
 
 @dataclass(frozen=True)
@@ -149,6 +153,9 @@ class MagnitudeReport:
     per_color: tuple[ColorClassReport, ...]
     magnitude: int
     witness: tuple[int, int] | None
+    # scale components of each color class, in color order, each list sorted
+    # by smallest vertex; not part of the report's value
+    components: dict[int, list[frozenset[int]]] = field(compare=False, repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -174,7 +181,8 @@ def magnitude_report(
     The magnitude is the maximum component diameter over all color classes;
     each color's witness is the diameter_witness pair of its first component
     of largest diameter. Works for whole-space colorings and per-piece
-    (subset) colorings alike.
+    (subset) colorings alike. The report keeps each class's components in
+    its components field, which the cell's property checks read.
     """
     classes: dict[int, list[int]] = {}
     for v, c in colors.items():
@@ -200,7 +208,7 @@ def magnitude_report(
         per_color.append(ColorClassReport(c, len(parts), best, best_witness))
         if best > overall:
             overall, overall_witness = best, best_witness
-    return MagnitudeReport(tuple(per_color), overall, overall_witness)
+    return MagnitudeReport(tuple(per_color), overall, overall_witness, comps)
 
 
 # -- piece shape detection ----------------------------------------------------
@@ -483,9 +491,9 @@ def recolor_base_ball(
 
 def base_component(
     recolored: Mapping[int, int], space: Space, pid: int, base: int, setup: ScaleSetup
-) -> frozenset[int]:
+) -> tuple[frozenset[int], int]:
     """Scale-r component of the base vertex inside the color-0 set of the piece,
-    chained with piece-internal distances.
+    chained with piece-internal distances, and its diameter.
 
     Read from the piece's own distance table, which a valid space keeps: only
     then is the piece convex and its table exact."""
@@ -494,9 +502,9 @@ def base_component(
         raise ValueError(f"base vertex {base} of piece {pid} is not color 0")
     verts = sorted(space.pieces[pid])
     zero = [0 if recolored[v] == 0 else -1 for v in verts]
-    comp = space.graph.piece_diameters(verts, zero, setup.chain.max_step)[0].tolist()
+    comp, diams = space.graph.piece_diameters(verts, zero, setup.chain.max_step)
     mine = comp[verts.index(base)]
-    return frozenset(v for v, k in zip(verts, comp) if k == mine)
+    return frozenset(v for v, k in zip(verts, comp.tolist()) if k == mine), int(diams[mine])
 
 
 def finalize_piece_coloring(
@@ -504,13 +512,14 @@ def finalize_piece_coloring(
 ) -> PieceColoring:
     base = space.basepoints()[pid]
     recolored = recolor_base_ball(raw, space, pid, base, setup)
-    comp = base_component(recolored, space, pid, base, setup)
+    comp, diameter = base_component(recolored, space, pid, base, setup)
     return PieceColoring(
         piece_id=pid,
         raw=dict(raw),
         recolored=recolored,
         basepoint=base,
         base_component=comp,
+        base_diameter=diameter,
     )
 
 

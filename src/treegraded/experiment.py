@@ -283,6 +283,7 @@ def _cell_record(
                 setup,
                 colorings,
                 coloring,
+                measured,
                 rng,
                 chain_samples=chain_samples,
                 trace_samples=config.samples.trace_targets,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import random
 import tracemalloc
@@ -40,7 +41,7 @@ from treegraded.forge import (
     subdivide_space,
 )
 from treegraded.graph import _BLOCK_ENTRIES, ChainPredicate, Graph, strict_chain, weak_chain
-from treegraded.oracles import brute_magnitude, brute_scale_components
+from treegraded.oracles import brute_magnitude, brute_scale_components, brute_set_diameter
 from treegraded.space import Space
 
 from conftest import (
@@ -233,19 +234,18 @@ class TestRecolorAndBaseComponent:
 
     def test_base_component_from_example(self):
         recolored = recolor_base_ball(self.raw, self.space, 0, 0, self.setup)
-        comp = base_component(recolored, self.space, 0, 0, self.setup)
+        comp, diameter = base_component(recolored, self.space, 0, 0, self.setup)
         assert comp == frozenset({0, 1, 2, 3, 4})
-        assert self.space.graph.set_diameter(comp) <= 8 * self.setup.piece_magnitude
+        assert diameter == self.space.graph.set_diameter(comp) == 4
+        assert diameter <= 8 * self.setup.piece_magnitude
 
     def test_whole_piece_when_all_zero(self):
         raw = {v: 0 for v in range(11)}
-        comp = base_component(raw, self.space, 0, 0, self.setup)
-        assert comp == frozenset(range(11))
+        assert base_component(raw, self.space, 0, 0, self.setup) == (frozenset(range(11)), 10)
 
     def test_isolated_base_vertex(self):
         raw = {v: 0 if v == 0 or v >= 5 else 1 for v in range(11)}
-        comp = base_component(raw, self.space, 0, 0, self.setup)
-        assert comp == frozenset({0})
+        assert base_component(raw, self.space, 0, 0, self.setup) == (frozenset({0}), 0)
 
     def test_nonzero_base_rejected(self):
         raw = {v: 1 for v in range(11)}
@@ -254,9 +254,10 @@ class TestRecolorAndBaseComponent:
 
 
 def assert_base_components_match_piece_oracle(space: Space, r: int, mode: str, seed: int):
-    """Every piece's base component, for the pipeline's recoloring and for a
-    random one, against brute-force scale components of the color-0 vertices
-    in the piece's own induced subgraph (the piece-internal metric)."""
+    """Every piece's base component and its diameter, for the pipeline's
+    recoloring and for a random one, against brute-force scale components of
+    the color-0 vertices in the piece's own induced subgraph (the
+    piece-internal metric)."""
     rnd = random.Random(seed)
     setup = ScaleSetup(r=r, n=natural_color_count(space), chain_mode=mode)
     for pid, pc in build_piece_colorings(space, setup).items():
@@ -267,14 +268,14 @@ def assert_base_components_match_piece_oracle(space: Space, r: int, mode: str, s
         )
         random_zero = {v: 0 if v == pc.basepoint else rnd.randint(0, 1) for v in piece}
         cases = [
-            (pc.recolored, pc.base_component),
+            (pc.recolored, (pc.base_component, pc.base_diameter)),
             (random_zero, base_component(random_zero, space, pid, pc.basepoint, setup)),
         ]
         for colors, got in cases:
             zero = [local[v] for v in piece if colors[v] == 0]
             parts = brute_scale_components(inside, zero, setup.chain)
             want = next(part for part in parts if local[pc.basepoint] in part)
-            assert got == frozenset(piece[i] for i in want), (pid, r, mode)
+            assert got == (frozenset(piece[i] for i in want), brute_set_diameter(inside, want)), (pid, r, mode)
 
 
 class TestBaseComponentRoute:
@@ -407,6 +408,13 @@ class TestPieceTableRoute:
         report = magnitude_report(g, colors, pred)
         assert report.to_dict() == ambient_report(g, colors, pred)
         assert report.magnitude == brute_magnitude(g, colors, pred)
+        # the kept components, empty classes included, are the ambient partition
+        ranged = magnitude_report(g, colors, pred, color_range=5)
+        assert list(ranged.components) == list(range(5))
+        for c, parts in ranged.components.items():
+            assert parts == g.scale_components([v for v, k in colors.items() if k == c], pred), c
+        assert report.components == {c: parts for c, parts in ranged.components.items() if parts}
+        assert dataclasses.replace(report, components={}) == report  # not part of the value
 
     @settings(max_examples=40, deadline=None)
     @given(validated_spaces, st.integers(2, 6), st.data())

@@ -7,6 +7,7 @@ import dataclasses
 import io
 import json
 import os
+from collections import Counter
 
 import pytest
 
@@ -22,6 +23,7 @@ from treegraded.experiment import (
     write_csv,
 )
 from treegraded.forge import ForgeSpec, PieceTemplate
+from treegraded.graph import Graph, strict_chain, weak_chain
 
 
 @dataclasses.dataclass(frozen=True)
@@ -121,6 +123,30 @@ class TestReports:
             for cell in s["cells"]:
                 assert cell["pass"] == (cell["magnitude"] <= cell["bound"] + cell["slack"])
                 assert cell["pass_zero_slack"] == (cell["magnitude"] <= cell["bound"])
+
+    def test_cell_splits_each_class_once(self, monkeypatch):
+        # the cell's magnitude report hands its strict components to the
+        # checks; projected_chain_color alone splits the classes again, weakly
+        calls: Counter = Counter()
+        split = Graph.scale_components
+
+        def counting(graph, subset, pred):
+            calls[pred] += 1
+            return split(graph, subset, pred)
+
+        monkeypatch.setattr(Graph, "scale_components", counting)
+        grids = ForgeSpec(
+            templates=((PieceTemplate.parse("grid:5x5"), 2), (PieceTemplate.parse("cycle:6"), 1)),
+            piece_budget=4,
+            attach_spacing=2,
+            seed=60,
+        )
+        report = run_experiment(tiny_config(sources=(SpaceSource(name="g", forge=grids),), r_list=(2,)))
+        (cell,) = report["spaces"][0]["cells"]
+        assert "error" not in cell and len(cell["checks"]) == 8
+        classes = cell["colors_used"]
+        assert classes == 3
+        assert calls == {strict_chain(2): classes, weak_chain(2): classes}
 
     def test_failed_space_recorded_and_run_continues(self, tmp_path):
         ghost = SpaceSource(name="ghost", path=str(tmp_path / "missing.tgspace"))

@@ -8,7 +8,13 @@ from hypothesis import strategies as st
 
 from treegraded import checks
 from treegraded.assemble import color_space
-from treegraded.coloring import BASE_COMPONENT_FACTOR, ScaleSetup, build_piece_colorings, natural_color_count
+from treegraded.coloring import (
+    BASE_COMPONENT_FACTOR,
+    ScaleSetup,
+    build_piece_colorings,
+    magnitude_report,
+    natural_color_count,
+)
 from treegraded.forge import PieceTemplate, gen_free_product_model
 from treegraded.rng import SplitMix64
 
@@ -22,6 +28,11 @@ def full_cell(space, r):
     return setup, colorings, coloring
 
 
+def cell_report(space, setup, coloring):
+    """The cell's magnitude report, measured as an experiment cell measures it."""
+    return magnitude_report(space.graph, coloring.as_mapping(), setup.chain, color_range=setup.colors)
+
+
 def run_all(space, r, seed=7, chain_samples=60, trace_samples=24, geodesic_samples=12):
     ana = checks.SpaceAnalysis(space)
     setup, colorings, coloring = full_cell(space, r)
@@ -31,6 +42,7 @@ def run_all(space, r, seed=7, chain_samples=60, trace_samples=24, geodesic_sampl
         setup,
         colorings,
         coloring,
+        cell_report(space, setup, coloring),
         SplitMix64(seed + 1),
         chain_samples=chain_samples,
         trace_samples=trace_samples,
@@ -127,7 +139,7 @@ class TestWitnessReporting:
         from treegraded.coloring import SpaceColoring
 
         constant = SpaceColoring(tuple(0 for _ in coloring.colors), setup)
-        res = checks.check_in_piece_chain_distance(space, setup, constant)
+        res = checks.check_in_piece_chain_distance(space, setup, cell_report(space, setup, constant))
         # a constant coloring keeps whole arms in one component: piece diameter
         # can exceed the bound only on long arms; with arm=8 and magnitude=2 the
         # arm diameter 8 stays below 72, so instead check the near-projection suite
@@ -211,7 +223,7 @@ def assert_in_piece_checks_match_ambient(space, r, magnitude=None):
     results = [
         checks.check_base_component_bound(space, setup, colorings),
         checks.check_piece_offset(space, setup, colorings, coloring),
-        checks.check_in_piece_chain_distance(space, setup, coloring),
+        checks.check_in_piece_chain_distance(space, setup, cell_report(space, setup, coloring)),
     ]
     want = ambient_in_piece_hits(space, setup, colorings, coloring)
     for res in results:
