@@ -38,6 +38,7 @@ The suites, by name:
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -51,7 +52,7 @@ from .coloring import (
     ScaleSetup,
     SpaceColoring,
 )
-from .graph import weak_chain
+from .graph import Graph, weak_chain
 from .rng import SplitMix64
 from .space import Space
 
@@ -89,7 +90,11 @@ class CheckResult:
 
 
 class SpaceAnalysis:
-    """Shared caches for one space: projection arrays and piece distances."""
+    """Shared caches for one space: projection arrays and piece distances.
+
+    A piece's member rows are gathered once per space: the first of
+    check_projection_uniqueness (through nearest) and piece_dist_array to
+    reach a piece reads them, and only the distance array is kept."""
 
     def __init__(self, space: Space):
         space.require_valid()
@@ -109,12 +114,19 @@ class SpaceAnalysis:
             self._proj[pid] = arr
         return arr
 
+    def nearest(self, pid: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """For every vertex: its distance to piece pid, how many members lie
+        at that distance, and the smallest of them; from one gather of the
+        members' rows, whose distance array is kept."""
+        members = np.asarray(sorted(self.space.pieces[pid]), dtype=np.int64)
+        rows = self.space.graph.dist_block(members)
+        dist = self._piece_dist[pid] = rows.min(axis=0)
+        at = rows == dist
+        return dist, at.sum(axis=0), members[at.argmax(axis=0)]
+
     def piece_dist_array(self, pid: int) -> np.ndarray:
         arr = self._piece_dist.get(pid)
-        if arr is None:
-            arr = self.space.graph.dist_block(sorted(self.space.pieces[pid])).min(axis=0)
-            self._piece_dist[pid] = arr
-        return arr
+        return self.nearest(pid)[0] if arr is None else arr
 
 
 # -- projection suite (coloring-free) -------------------------------------------
@@ -124,12 +136,8 @@ def check_projection_uniqueness(ana: SpaceAnalysis) -> CheckResult:
     res = CheckResult("projection_uniqueness")
     space = ana.space
     g = space.graph
-    for pid, piece in enumerate(space.pieces):
-        members = np.asarray(sorted(piece), dtype=np.int64)
-        rows = g.dist_block(members)
-        nearest = rows.min(axis=0)
-        counts = (rows == nearest).sum(axis=0)
-        argmins = members[np.argmax(rows == nearest, axis=0)]
+    for pid in range(len(space.pieces)):
+        _, counts, argmins = ana.nearest(pid)
         proj = ana.proj_array(pid)
         res.checked += g.vertex_count
         for x in np.nonzero(counts != 1)[0]:
@@ -404,26 +412,29 @@ def check_near_projection_color(
     return res
 
 
-def _chain_search(arr, idx, sub, max_step: int, x: int, y: int) -> list[int] | None:
-    """Explicit chain from x to y inside the class with steps <= max_step."""
-    prev = {x: -1}
-    queue = [x]
-    while queue:
+def _chain_search(g: Graph, members: np.ndarray, max_step: int, x: int, y: int) -> list[int]:
+    """The breadth-first chain from x to y through members (a boolean mask
+    over the vertices) with steps <= max_step. A vertex's candidate next steps
+    are the members within max_step of it, read from its memoised row in
+    ascending order, and the first vertex to reach a member keeps it; so no
+    distance block among the members is built. x and y must share a chain
+    component of members."""
+    prev = {x: x}
+    level = [x]
+    while y not in prev:
+        if not level:
+            raise ValueError(f"{x} and {y} share no chain component")
         nxt = []
-        for u in queue:
-            if u == y:
-                chain = [y]
-                while prev[chain[-1]] != -1:
-                    chain.append(prev[chain[-1]])
-                return list(reversed(chain))
-            row = sub[idx[u]]
-            for j in np.nonzero(row <= max_step)[0]:
-                w = int(arr[j])
-                if w not in prev and w != u:
+        for u in level:
+            for w in np.flatnonzero((g.dist_row(u) <= max_step) & members).tolist():
+                if w not in prev:
                     prev[w] = u
                     nxt.append(w)
-        queue = nxt
-    return None
+        level = nxt
+    chain = [y]
+    while chain[-1] != x:
+        chain.append(prev[chain[-1]])
+    return chain[::-1]
 
 
 def check_projected_chain_color(
@@ -440,65 +451,36 @@ def check_projected_chain_color(
     space = ana.space
     g = space.graph
     weak = weak_chain(setup.r)
-    by_color: dict[int, list[int]] = {}
-    for v, c in enumerate(coloring.colors):
-        by_color.setdefault(c, []).append(v)
-    comp_id: dict[int, dict[int, int]] = {}
-    for c, members in by_color.items():
-        comp_id[c] = {}
-        for k, comp in enumerate(g.scale_components(members, weak)):
-            for v in comp:
-                comp_id[c][v] = k
-    blocks: dict[int, tuple] = {}  # per color: members, their index, their distance block
+    colors = np.asarray(coloring.colors)
+    comp = np.empty(g.vertex_count, dtype=np.int64)  # weak component in its class, by smallest vertex
+    for c in np.unique(colors).tolist():
+        for part in g.scale_components(np.flatnonzero(colors == c), weak):
+            comp[list(part)] = min(part)
     for pid, pc in colorings.items():
         proj = ana.proj_array(pid)
-        piece = sorted(space.pieces[pid])
         used = 0
-        for c in sorted(by_color):
-            # endpoints project to themselves, so endpoints inside the base
-            # component can never satisfy the proviso
-            same = [
-                v for v in piece if coloring[v] == c and v not in pc.base_component
-            ]
-            groups: dict[int, list[int]] = {}
-            for v in same:
-                groups.setdefault(comp_id[c][v], []).append(v)
-            for group in groups.values():
-                tried = 0
-                for i in range(len(group)):
-                    for j in range(i + 1, len(group)):
-                        if used >= pairs_per_piece or tried >= 6:
-                            break
-                        x, y = group[i], group[j]
-                        if c not in blocks:
-                            arr = np.asarray(by_color[c], dtype=np.int64)
-                            blocks[c] = arr, {v: k for k, v in enumerate(by_color[c])}, g.dist_block(arr, arr)
-                        chain = _chain_search(*blocks[c], weak.max_step, x, y)
-                        if chain is None:
-                            continue
-                        tried += 1
-                        if any(int(proj[v]) in pc.base_component for v in chain):
-                            continue  # proviso: projections avoid the base component
-                        used += 1
-                        res.checked += 1
-                        projected = [int(proj[v]) for v in chain]
-                        for a, b in zip(projected, projected[1:]):
-                            if g.shortest_dist(a, b) > weak.max_step:
-                                res.hit(
-                                    {"piece": pid, "chain": chain, "reason": "projected step too long"}
-                                )
-                                break
-                        else:
-                            bad = [p for p in projected if coloring[p] != c]
-                            if bad:
-                                res.hit(
-                                    {
-                                        "piece": pid,
-                                        "chain": chain,
-                                        "reason": "projected point changes color",
-                                        "bad": bad[:3],
-                                    }
-                                )
+        # endpoints project to themselves, so endpoints inside the base
+        # component can never satisfy the proviso; pairs are tried by color,
+        # then by weak component, in order of first vertex
+        groups: dict[int, list[int]] = {}
+        for v in sorted(space.pieces[pid] - pc.base_component, key=lambda v: (coloring[v], v)):
+            groups.setdefault(comp.item(v), []).append(v)
+        for group in groups.values():
+            c = coloring[group[0]]
+            for tried, (x, y) in enumerate(itertools.combinations(group, 2)):
+                if used >= pairs_per_piece or tried >= 6:
+                    break
+                chain = _chain_search(g, colors == c, weak.max_step, x, y)
+                projected = proj[chain]
+                if any(p in pc.base_component for p in projected.tolist()):
+                    continue  # proviso: projections avoid the base component
+                used += 1
+                res.checked += 1
+                bad = [p for p in projected.tolist() if coloring[p] != c]
+                if (g.dist_pairs(projected[:-1], projected[1:]) > weak.max_step).any():
+                    res.hit({"piece": pid, "chain": chain, "reason": "projected step too long"})
+                elif bad:
+                    res.hit({"piece": pid, "chain": chain, "reason": "projected point changes color", "bad": bad[:3]})
     return res
 
 

@@ -12,7 +12,9 @@ already symmetric, and the call then neither re-casts nor transposes it.
 
 The stored metric is one int32 table per piece, and only this module knows
 that layout: callers read distances through dist_row, dist_block and
-dist_pairs. The tables are kept one of two ways:
+dist_pairs. All tables share one int32 array, allocated from the piece sizes,
+and scipy's fill writes each table once, straight into its slice, so no
+table is ever held twice. The tables are kept one of two ways:
 
   composed   when a validated tree-graded Space hands over its placement
              (compose_distances): scipy runs on each piece's induced subgraph
@@ -105,16 +107,15 @@ from scipy.sparse.csgraph import dijkstra as _dijkstra
 _BLOCK_ENTRIES = 2**22
 
 
-def _all_pairs(sp: csr_matrix) -> np.ndarray:
-    """int32 all-pairs distances of the connected unit-edge graph sp
-    (symmetric float64 CSR with unit weights)."""
+def _all_pairs(sp: csr_matrix, out: np.ndarray):
+    """Write the all-pairs distances of the connected unit-edge graph sp
+    (symmetric float64 CSR with unit weights) into out, an int32 n x n view
+    of the one array that keeps every table, a block of source rows at a time."""
     n = sp.shape[0]
     height = max(1, _BLOCK_ENTRIES // n)
-    dist = np.empty((n, n), dtype=np.int32)
     for lo in range(0, n, height):
         hi = min(lo + height, n)
-        dist[lo:hi] = _dijkstra(sp, directed=True, indices=np.arange(lo, hi))
-    return dist
+        out[lo:hi] = _dijkstra(sp, directed=True, indices=np.arange(lo, hi))
 
 
 def _union_labels(labels: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -340,9 +341,12 @@ class Graph:
         placed = np.zeros(n, dtype=bool)
         home = np.full(n, -1, dtype=np.int64)
         local = np.zeros(n, dtype=np.int64)
-        tables, size, parent, cut_row = [], [], [], []
+        pieces = [np.unique(self._vertex_array(verts)) for verts in pieces]
+        size = [verts.size for verts in pieces]
+        off = np.cumsum([0] + [s * s for s in size], dtype=np.int64).tolist()
+        flat = np.empty(off[-1], dtype=np.int32)  # every table, written in place
+        parent, cut_row = [], []
         for k, (verts, cut) in enumerate(zip(pieces, cuts)):
-            verts = np.unique(self._vertex_array(verts))
             fresh = verts != cut
             new = verts[fresh]
             rooted = not placed.any()
@@ -350,21 +354,19 @@ class Graph:
                 raise GraphError(f"cut vertex {cut} is not shared with an earlier piece")
             if placed[new].any():
                 raise GraphError(f"piece {verts.tolist()[:4]} overlaps the earlier pieces beyond its cut")
-            tables.append(_all_pairs(sp[verts][:, verts]).ravel())
-            size.append(verts.size)
+            _all_pairs(sp[verts][:, verts], flat[off[k] : off[k + 1]].reshape(size[k], size[k]))
             parent.append(-1 if rooted else int(home[cut]))
             cut_row.append(-1 if rooted else int(np.flatnonzero(~fresh)[0]))
             home[new], local[new] = k, np.flatnonzero(fresh)
             placed[new] = True
         if not placed.all():
             raise GraphError(f"vertex {int(np.argmin(placed))} lies in no piece")
-        off = np.cumsum([0] + [s * s for s in size[:-1]], dtype=np.int64)
         cut = [-1 if q < 0 else int(c) for c, q in zip(cuts, parent)]
         self._tables = _Tables(
-            flat=np.concatenate(tables),
+            flat=flat,
             home=home,
             local=local,
-            off=off.tolist(),
+            off=off[:-1],
             size=size,
             parent=parent,
             cut=cut,

@@ -347,9 +347,7 @@ class Space:
             pid = queue.popleft()
             for v in sorted(self.pieces[pid]):
                 if len(self.pieces_of_vertex[v]) < 2 or v in cut_parent:
-                    continue
-                if piece_parent.get(pid) == v:
-                    continue  # the cut we came through
+                    continue  # not a cut, or placed already, as the cut we came through is
                 cut_parent[v] = pid
                 cut_depth[v] = piece_depth[pid] + 1
                 for q in self.pieces_of_vertex[v]:

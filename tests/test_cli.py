@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -18,11 +19,14 @@ from treegraded.space import Space
 from conftest import edge_piece_path, path_graph, two_triangles_sharing_edge
 
 CLI = [sys.executable, "-m", "treegraded.cli"]
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def run_cli(*args, env_extra: dict | None = None):
+    """Run the CLI of this checkout's src, ahead of any installed copy."""
     env = dict(os.environ)
     env.pop("TG_SEED", None)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     if env_extra:
         env.update(env_extra)
     return subprocess.run(

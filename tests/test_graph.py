@@ -137,6 +137,20 @@ class TestComposeDistances:
         with pytest.raises(GraphError):
             path_graph(4).compose_distances([np.array(p) for p in pieces], cuts)
 
+    def test_one_piece_table_is_written_once(self):
+        n = 4000  # a 64 MB int32 table, larger than one float64 block of scipy's fill
+        g = cycle_graph(n)
+        tracemalloc.start()
+        try:
+            g.dist_row(0)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kept >= 4 * n * n
+        # beyond the table it keeps, the fill holds one float64 block of
+        # scipy's output at a time and never a second copy of the table
+        assert peak - kept < 8 * _BLOCK_ENTRIES + 2**22
+
 
 class TestComposedEngine:
     """Rows, blocks, pairs and diameters composed from the per-piece tables,

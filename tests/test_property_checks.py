@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import itertools
+import tracemalloc
+from unittest import mock
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,14 +16,17 @@ from treegraded.assemble import color_space
 from treegraded.coloring import (
     BASE_COMPONENT_FACTOR,
     ScaleSetup,
+    SpaceColoring,
     build_piece_colorings,
     magnitude_report,
     natural_color_count,
 )
 from treegraded.forge import PieceTemplate, gen_free_product_model
+from treegraded.graph import weak_chain
 from treegraded.rng import SplitMix64
+from treegraded.space import Space
 
-from conftest import small_spaces, tripod_space
+from conftest import path_graph, small_spaces, tripod_space, validated_spaces
 
 
 def full_cell(space, r):
@@ -261,3 +269,142 @@ class TestInPieceRoutes:
     @given(small_spaces(max_budget=5), st.sampled_from([2, 3, 4]), st.sampled_from([None, 1, 0]))
     def test_generated_spaces(self, space, r, magnitude):
         assert_in_piece_checks_match_ambient(space, r, magnitude)
+
+
+def block_chain_search(arr, idx, sub, max_step: int, x: int, y: int) -> list[int] | None:
+    """The reference chain search: breadth first over the |class|^2 distance
+    block sub of the class arr (sorted; idx maps a member to its index)."""
+    prev = {x: -1}
+    queue = [x]
+    while queue:
+        nxt = []
+        for u in queue:
+            if u == y:
+                chain = [y]
+                while prev[chain[-1]] != -1:
+                    chain.append(prev[chain[-1]])
+                return list(reversed(chain))
+            row = sub[idx[u]]
+            for j in np.nonzero(row <= max_step)[0]:
+                w = int(arr[j])
+                if w not in prev and w != u:
+                    prev[w] = u
+                    nxt.append(w)
+        queue = nxt
+    return None
+
+
+def block_projected_chain_color(ana, setup, colorings, coloring, tried_chains, pairs_per_piece=2):
+    """The reference check_projected_chain_color: per color, a dict of weak
+    components and the chain search over the class's |class|^2 block. Every
+    chain it tries is appended to tried_chains."""
+    res = checks.CheckResult("projected_chain_color")
+    g = ana.space.graph
+    weak = weak_chain(setup.r)
+    by_color = {}
+    for v, c in enumerate(coloring.colors):
+        by_color.setdefault(c, []).append(v)
+    comp_id = {
+        c: {v: k for k, comp in enumerate(g.scale_components(members, weak)) for v in comp}
+        for c, members in by_color.items()
+    }
+    for pid, pc in colorings.items():
+        proj = ana.proj_array(pid)
+        used = 0
+        for c in sorted(by_color):
+            arr = np.asarray(by_color[c])
+            block = arr, {v: k for k, v in enumerate(by_color[c])}, g.dist_block(arr, arr)
+            groups = {}
+            for v in sorted(ana.space.pieces[pid]):
+                if coloring[v] == c and v not in pc.base_component:
+                    groups.setdefault(comp_id[c][v], []).append(v)
+            for group in groups.values():
+                tried = 0
+                for i in range(len(group)):
+                    for j in range(i + 1, len(group)):
+                        if used >= pairs_per_piece or tried >= 6:
+                            break
+                        chain = block_chain_search(*block, weak.max_step, group[i], group[j])
+                        tried_chains.append(chain)
+                        tried += 1
+                        if any(int(proj[v]) in pc.base_component for v in chain):
+                            continue
+                        used += 1
+                        res.checked += 1
+                        projected = [int(proj[v]) for v in chain]
+                        if any(g.shortest_dist(a, b) > weak.max_step for a, b in zip(projected, projected[1:])):
+                            res.hit({"piece": pid, "chain": chain, "reason": "projected step too long"})
+                            continue
+                        bad = [p for p in projected if coloring[p] != c]
+                        if bad:
+                            reason = "projected point changes color"
+                            res.hit({"piece": pid, "chain": chain, "reason": reason, "bad": bad[:3]})
+    return res
+
+
+class TestChainSearch:
+    """check_projected_chain_color walks its chains on memoised rows; they
+    must be the chains of the block search over the whole class."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(validated_spaces, st.integers(2, 4), st.integers(0, 2**32 - 1))
+    def test_check_tries_the_block_routes_chains(self, space, r, seed):
+        # the same chains are tried, in the same order, and give the same result
+        ana = checks.SpaceAnalysis(space)
+        setup, colorings, _ = full_cell(space, r)
+        colors = np.random.default_rng(seed).integers(0, setup.colors, space.graph.vertex_count)
+        coloring = SpaceColoring(tuple(colors.tolist()), setup)
+        search, tried = checks._chain_search, []
+
+        def recorded(*args):
+            tried.append(search(*args))
+            return tried[-1]
+
+        with mock.patch.object(checks, "_chain_search", recorded):
+            res = checks.check_projected_chain_color(ana, setup, colorings, coloring, pairs_per_piece=50)
+        want_tried = []
+        want = block_projected_chain_color(ana, setup, colorings, coloring, want_tried, pairs_per_piece=50)
+        assert tried == want_tried
+        assert res.to_dict() == want.to_dict()
+
+    @settings(max_examples=40, deadline=None)
+    @given(validated_spaces, st.integers(2, 4), st.integers(2, 5), st.integers(0, 2**32 - 1))
+    def test_rows_route_equals_block_route(self, space, k, r, seed):
+        g = space.graph
+        colors = np.random.default_rng(seed).integers(0, k, g.vertex_count)
+        for c in range(k):
+            arr = np.flatnonzero(colors == c)
+            idx = {v: i for i, v in enumerate(arr.tolist())}
+            sub = g.dist_block(arr, arr)
+            for part in g.scale_components(arr, weak_chain(r)):
+                members = sorted(part)
+                pairs = list(itertools.combinations(members[:6], 2)) + [(members[-1], members[0])]
+                for x, y in pairs:
+                    want = block_chain_search(arr, idx, sub, r, x, y)
+                    assert checks._chain_search(g, colors == c, r, x, y) == want
+
+    def test_vertices_in_different_components_raise(self):
+        g = path_graph(6)
+        members = np.array([True, True, False, False, True, True])
+        assert checks._chain_search(g, members, 3, 0, 5) == [0, 1, 4, 5]
+        with pytest.raises(ValueError):
+            checks._chain_search(g, members, 2, 0, 5)  # {0, 1} and {4, 5} are 3 apart
+
+    def test_one_large_class_builds_no_block_of_it(self):
+        # a path in long pieces, coloured constant: one class of every vertex
+        n = 2001
+        space = Space(path_graph(n), [set(range(i, i + 101)) for i in range(0, n - 1, 100)], 0)
+        ana = checks.SpaceAnalysis(space)
+        setup, colorings, coloring = full_cell(space, 2)
+        constant = SpaceColoring(tuple(0 for _ in coloring.colors), setup)
+        space.graph.dist_block(np.arange(n))  # every row is memoised
+        for pid in range(len(space.pieces)):
+            ana.proj_array(pid)
+        tracemalloc.start()
+        try:
+            res = checks.check_projected_chain_color(ana, setup, colorings, constant)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res.ok and res.checked > 0
+        assert peak < n * n  # bytes: a quarter of one int32 block of the class

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treegraded.forge import PieceTemplate, gen_free_product_model, subdivide_space
+from treegraded.forge import ForgeSpec, PieceTemplate, gen_free_product_model, gen_random, subdivide_space
 from treegraded.graph import Graph
 from treegraded.oracles import bfs_dists, brute_nearest_set, brute_project, find_crossing_cycle
 from treegraded.space import InvalidSpaceError, Space, Violation
@@ -197,6 +197,22 @@ class TestComposedMetric:
             PieceTemplate.parse(left), PieceTemplate.parse(right), depth, attach_spacing=2, seed=seed
         )
         assert_composed_metric(space)
+
+    def test_validate_writes_each_table_once(self):
+        grid = PieceTemplate.parse("grid:12x12")
+        spec = ForgeSpec(((grid, 1),), 34, max_tree_depth=10, attach_spacing=3, branch_cap=3, seed=7)
+        space = gen_random(spec)
+        assert space.graph.vertex_count == 4863
+        tracemalloc.start()
+        try:
+            assert space.validate().ok
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        tables = space.graph._tables.flat.nbytes
+        assert tables == 4 * 34 * 144**2
+        # beyond what validate keeps, its peak holds no second copy of the tables
+        assert peak - kept < tables // 4
 
     def test_matrix_filled_before_validation_is_kept(self):
         space = tripod_space(arm=2)
