@@ -14,7 +14,6 @@ from .coloring import (
 from .assemble import (
     ColorBreakdown,
     GeodesicTrace,
-    baseline_color,
     color_space,
     combined_color,
     cut_final_piece,
@@ -41,7 +40,6 @@ __all__ = [
     "StrategyPlan",
     "ValidationReport",
     "Violation",
-    "baseline_color",
     "build_piece_colorings",
     "color_space",
     "combined_color",

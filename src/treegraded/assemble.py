@@ -266,15 +266,3 @@ def color_space(
         colors[v] = total % ncolors
     return SpaceColoring(tuple(colors), setup)
 
-
-def baseline_color(
-    space: Space,
-    setup: ScaleSetup,
-    colorings: Mapping[int, PieceColoring],
-    variant: str,
-) -> SpaceColoring:
-    """The deliberately defective baselines: 'naive' (first sum only) and
-    'periodic' (untruncated beta floors)."""
-    if variant not in ("naive", "periodic"):
-        raise ValueError(f"baseline variant must be naive or periodic, got {variant!r}")
-    return color_space(space, setup, colorings, variant)

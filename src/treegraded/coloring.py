@@ -24,7 +24,11 @@ space.py), so those equal ambient distances and the table the validated space
 keeps for the piece holds them all.
 
 Everything measured inside one piece is therefore read from that piece's
-table, one Graph.piece_diameters pass per piece: the magnitude of a raw piece
+table. The distances that place a piece's colors (band distances from the
+root of a tree piece, the path of a one-row brick piece, the recolored 2r-ball
+around the base vertex) are rows of it, read by Space.piece_dist_from; shapes
+are found from the graph's adjacency restricted to the piece. Measurement
+takes one Graph.piece_diameters pass per piece: the magnitude of a raw piece
 coloring (compute_piece_magnitude, certify_piece_colorings), and the base
 component, the chain component of the base vertex among the piece's color-0
 vertices, with its diameter. These require a valid space. magnitude_report
@@ -233,7 +237,7 @@ def classify_piece(space: Space, pid: int) -> PieceShape:
 
 def _detect_shape(space: Space, pid: int) -> PieceShape:
     piece = space.pieces[pid]
-    adj = space.piece_adjacency(pid)
+    adj = {v: tuple(w for w in space.graph.adj[v] if w in piece) for v in piece}
     n = len(piece)
     m = sum(len(ws) for ws in adj.values()) // 2
     if m == n - 1:
@@ -362,15 +366,12 @@ def _subdivided_grid_coordinates(
 
 def band_coloring(space: Space, pid: int, root: int, width: int) -> dict[int, int]:
     """Two-color distance bands from a root vertex; the piece must be acyclic."""
-    piece = space.pieces[pid]
-    adj = space.piece_adjacency(pid)
-    m = sum(len(ws) for ws in adj.values()) // 2
-    if m != len(piece) - 1:
+    if classify_piece(space, pid).kind != "tree":
         raise ValueError(f"piece {pid} not acyclic; band coloring needs a tree or path")
     if width < 1:
         raise ValueError("band width must be positive")
     dist = space.piece_dist_from(pid, root)
-    return {v: (dist[v] // width) % 2 for v in piece}
+    return {v: (dist[v] // width) % 2 for v in space.pieces[pid]}
 
 
 def arc_coloring(space: Space, pid: int, anchor: int, width: int) -> dict[int, int]:
@@ -400,16 +401,12 @@ def brick_coloring(space: Space, pid: int, anchor: int, brick: int) -> dict[int,
     if shape.kind == "grid" and shape.grid_coords is not None:
         coords = shape.grid_coords
     else:
-        # degenerate 1 x b grid: a path piece laid out along one row
-        adj = space.piece_adjacency(pid)
-        is_path = (
-            shape.kind == "tree"
-            and all(len(ws) <= 2 for ws in adj.values())
-            and len(adj[anchor]) <= 1
-        )
-        if not is_path:
+        # degenerate 1 x b grid: a path piece laid out along one row, which a
+        # tree is exactly when no two of its vertices lie equally far from the anchor
+        dist = space.piece_dist_from(pid, anchor) if shape.kind == "tree" else None
+        if dist is None or len(set(dist.values())) < len(dist):
             raise ValueError(f"piece {pid} is not a grid")
-        coords = {v: (0, d) for v, d in space.piece_dist_from(pid, anchor).items()}
+        coords = {v: (0, d) for v, d in dist.items()}
     if anchor not in coords:
         raise ValueError(f"anchor {anchor} not in piece {pid}")
     ai, aj = coords[anchor]

@@ -12,14 +12,18 @@ already symmetric, and the call then neither re-casts nor transposes it.
 
 The stored metric is one int32 table per piece, and only this module knows
 that layout: callers read distances through dist_row, dist_block and
-dist_pairs. All tables share one int32 array, allocated from the piece sizes,
-and scipy's fill writes each table once, straight into its slice, so no
-table is ever held twice. The tables are kept one of two ways:
+dist_pairs, and a validated Space reads the distances inside one of its
+pieces from the views of the tables that compose_distances hands back (they
+stay exact if later tables replace them). All tables share one int32 array,
+allocated from the piece sizes, and scipy's fill writes each table once,
+straight into its slice, so no table is ever held twice. The tables are kept
+one of two ways:
 
   composed   when a validated tree-graded Space hands over its placement
              (compose_distances): scipy runs on each piece's induced subgraph
-             alone, and the tables hang on the gluing tree through their cut
-             vertices;
+             alone (induced, the slice of the CSR adjacency that Space's
+             searches of invalid spaces also read), and the tables hang on the
+             gluing tree through their cut vertices;
   one piece  on the first distance query of any other graph: the whole graph
              is one piece, and its table is scipy's fill from every source,
              a block of source rows at a time.
@@ -324,8 +328,10 @@ class Graph:
             self.compose_distances([np.arange(self.vertex_count)], [-1])  # the one-piece case
         return self._tables
 
-    def compose_distances(self, pieces: Sequence[ArrayLike], cuts: Sequence[int]):
-        """Keep per-piece distance tables glued along a tree as the graph's metric.
+    def compose_distances(self, pieces: Sequence[ArrayLike], cuts: Sequence[int]) -> list[np.ndarray]:
+        """Keep per-piece distance tables glued along a tree as the graph's metric,
+        and return them, in the order of pieces: views over each piece's sorted
+        vertices, which callers read and do not write.
 
         pieces holds vertex arrays, root piece first; cuts[0] is -1 and
         cuts[i] is the one vertex piece i shares with the pieces before it.
@@ -337,7 +343,6 @@ class Graph:
         are replaced; rows composed before stay, being exact either way.
         """
         n = self.vertex_count
-        sp = self._csr
         placed = np.zeros(n, dtype=bool)
         home = np.full(n, -1, dtype=np.int64)
         local = np.zeros(n, dtype=np.int64)
@@ -354,7 +359,7 @@ class Graph:
                 raise GraphError(f"cut vertex {cut} is not shared with an earlier piece")
             if placed[new].any():
                 raise GraphError(f"piece {verts.tolist()[:4]} overlaps the earlier pieces beyond its cut")
-            _all_pairs(sp[verts][:, verts], flat[off[k] : off[k + 1]].reshape(size[k], size[k]))
+            _all_pairs(self.induced(verts), flat[off[k] : off[k + 1]].reshape(size[k], size[k]))
             parent.append(-1 if rooted else int(home[cut]))
             cut_row.append(-1 if rooted else int(np.flatnonzero(~fresh)[0]))
             home[new], local[new] = k, np.flatnonzero(fresh)
@@ -372,6 +377,13 @@ class Graph:
             cut=cut,
             cut_row=cut_row,
         )
+        return [self._tables.table(k) for k in range(len(pieces))]
+
+    def induced(self, verts: ArrayLike) -> csr_matrix:
+        """The CSR adjacency of the subgraph induced by verts, its rows and
+        columns in the order of verts."""
+        verts = self._vertex_array(verts)
+        return self._csr[verts][:, verts]
 
     def _gates(self, k: int) -> tuple[list[int], list[int], list[int]]:
         """How every vertex projects onto piece k, listed by piece Q.

@@ -34,6 +34,24 @@ metric: rows and diameters are composed from them along the tree, and no
 shortest-path search runs over the whole graph. Memory is the sum of |P|^2
 over the pieces plus the rows that have been read, so no V x V array is built
 unless a caller reads every row or the space is a single piece.
+
+A piece of two or more vertices is connected once EDGE_COVER and TREE hold,
+so validate searches pieces for a second component only when EDGE_COVER, T1
+or TREE fails; a piece of one vertex has no edge, which a size test finds on
+every space. Proof: suppose such a piece P is disconnected. The graph is
+connected, so some path runs from one component of P to another. Its steps
+between two vertices of P are edges of P's induced subgraph and stay in one
+component, so some stretch of it leaves P at a vertex c and first comes back
+at a vertex d of another component, c != d. Every edge of that stretch lies
+in a piece other than P (EDGE_COVER), so c and d are cut vertices, and the
+stretch runs from c to d through pieces and cut vertices other than P. With
+the incidences P-c and d-P it closes a cycle in the incidence structure, so
+TREE fails.
+
+The piece-internal metric is that of the kept tables: piece_dist_from reads
+a row of its piece's table, so it needs a valid space. The two searches of
+invalid spaces, for components and for CONVEX witnesses, run scipy on each
+piece's induced subgraph (Graph.induced).
 """
 
 from __future__ import annotations
@@ -108,11 +126,10 @@ class Space:
                 raise GraphError(f"piece {pid} is empty")
         self._pieces_of_vertex: tuple[tuple[int, ...], ...] | None = None
         self._piece_of_edge: dict[tuple[int, int], int] | None = None
-        self._piece_adj: dict[int, dict[int, tuple[int, ...]]] = {}
         self._piece_shapes: dict[int, object] = {}  # coloring.classify_piece, by piece id
-        self._piece_rows: dict[tuple[int, int], dict[int, int]] = {}
         self._report: ValidationReport | None = None
         self._tree: PieceTree | None = None
+        self._piece_tables: dict[int, object] = {}  # piece id -> its kept distance table, once valid
         self._basepoints: dict[int, int] | None = None
 
     # -- derived incidence data -------------------------------------------------
@@ -155,79 +172,58 @@ class Space:
 
     # -- piece-internal metric --------------------------------------------------
 
-    def piece_adjacency(self, pid: int) -> dict[int, tuple[int, ...]]:
-        adj = self._piece_adj.get(pid)
-        if adj is None:
-            piece = self.pieces[pid]
-            local: dict[int, list[int]] = {v: [] for v in piece}
-            for v in piece:
-                for w in self.graph.adj[v]:
-                    if w in piece:
-                        local[v].append(w)
-            adj = {v: tuple(sorted(ws)) for v, ws in local.items()}
-            self._piece_adj[pid] = adj
-        return adj
-
     def piece_dist_from(self, pid: int, src: int) -> dict[int, int]:
-        """BFS distances inside the induced subgraph of one piece."""
-        key = (pid, src)
-        row = self._piece_rows.get(key)
-        if row is None:
-            adj = self.piece_adjacency(pid)
-            if src not in adj:
-                raise GraphError(f"vertex {src} not in piece {pid}")
-            row = {src: 0}
-            queue = deque([src])
-            while queue:
-                u = queue.popleft()
-                du = row[u] + 1
-                for w in adj[u]:
-                    if w not in row:
-                        row[w] = du
-                        queue.append(w)
-            self._piece_rows[key] = row
-        return row
+        """Distances from src to every vertex of piece pid inside the piece,
+        read from the piece's table, which a valid space keeps."""
+        self.require_valid()
+        piece = self.pieces[pid]
+        if src not in piece:
+            raise GraphError(f"vertex {src} not in piece {pid}")
+        verts = sorted(piece)
+        row = self._piece_tables[pid][verts.index(src)]
+        return dict(zip(verts, row.tolist()))
 
     # -- validation ---------------------------------------------------------------
 
     def validate(self) -> ValidationReport:
         if self._report is not None:
             return self._report
-        violations: list[Violation] = []
-        violations += self._check_connected_pieces()
-        violations += self._check_edge_cover()
-        violations += self._check_t1()
-        violations += self._check_tree()
+        violations = self._check_edge_cover() + self._check_t1() + self._check_tree()
+        # pieces can be disconnected only when one of those fails (module docstring)
+        violations = self._check_connected_pieces(search=bool(violations)) + violations
         if violations:
             violations += self._check_convex()
         else:
             # CONVEX holds by the theorem in the module docstring
             self._tree = self._build_gluing_tree()
             placement = list(self._tree.piece_parent.items())
-            self.graph.compose_distances(
+            tables = self.graph.compose_distances(
                 [sorted(self.pieces[pid]) for pid, _ in placement],
                 [-1 if cut is None else cut for _, cut in placement],
             )
+            self._piece_tables = {pid: table for (pid, _), table in zip(placement, tables)}
         self._report = ValidationReport(tuple(violations))
         return self._report
 
-    def _check_connected_pieces(self) -> list[Violation]:
+    def _check_connected_pieces(self, search: bool) -> list[Violation]:
+        """Every piece of one vertex has no edge; with search, every larger
+        piece is also searched for a second component of its induced subgraph."""
+        from scipy.sparse.csgraph import connected_components  # invalid spaces only
+
         out = []
         for pid, piece in enumerate(self.pieces):
             if len(piece) < 2:
                 out.append(
                     Violation("CONNECTED_PIECE", {"piece": pid, "reason": "no edge", "vertices": sorted(piece)})
                 )
-                continue
-            row = self.piece_dist_from(pid, min(piece))
-            missing = sorted(piece - row.keys())
-            if missing:
-                out.append(
-                    Violation(
-                        "CONNECTED_PIECE",
-                        {"piece": pid, "reason": "disconnected", "unreached": missing[:4]},
+            elif search:
+                verts = sorted(piece)
+                _, labels = connected_components(self.graph.induced(verts), directed=False)
+                missing = [v for v, label in zip(verts, labels.tolist()) if label != labels[0]]
+                if missing:
+                    out.append(
+                        Violation("CONNECTED_PIECE", {"piece": pid, "reason": "disconnected", "unreached": missing[:4]})
                     )
-                )
         return out
 
     def _check_edge_cover(self) -> list[Violation]:
@@ -297,28 +293,25 @@ class Space:
         return out
 
     def _check_convex(self) -> list[Violation]:
+        """The first pair of each piece, row-major over its sorted vertices,
+        that the piece joins by a path longer than the ambient distance."""
+        from scipy.sparse.csgraph import dijkstra  # invalid spaces only
+
         out = []
         for pid, piece in enumerate(self.pieces):
-            for src in sorted(piece):
-                internal = self.piece_dist_from(pid, src)
-                ambient = self.graph.dist_row(src)
-                for v in sorted(piece):
-                    d_in = internal.get(v)
-                    if d_in is not None and d_in != int(ambient[v]):
-                        out.append(
-                            Violation(
-                                "CONVEX",
-                                {"piece": pid, "pair": (src, v), "internal": d_in, "ambient": int(ambient[v])},
-                            )
-                        )
-                        break
-                else:
-                    continue
-                break
+            verts = sorted(piece)
+            internal = dijkstra(self.graph.induced(verts), directed=False)
+            ambient = self.graph.dist_block(verts, verts)
+            # a piece path is an ambient path; an unreached pair reads inf
+            longer = (internal > ambient) & (internal < len(verts))
+            if longer.any():
+                i, j = divmod(int(longer.argmax()), len(verts))
+                d_in, d = int(internal[i, j]), int(ambient[i, j])
+                out.append(Violation("CONVEX", {"piece": pid, "pair": (verts[i], verts[j]), "internal": d_in, "ambient": d}))
         return out
 
     def require_valid(self):
-        # called once per piece and scale by base_component: a cached report is read directly
+        # called per piece and scale by base_component and piece_dist_from: a cached report is read directly
         report = self._report if self._report is not None else self.validate()
         if not report.ok:
             raise InvalidSpaceError(

@@ -20,7 +20,7 @@ import time
 
 import pytest
 
-from treegraded.assemble import baseline_color, color_space
+from treegraded.assemble import color_space
 from treegraded.coloring import (
     ASSEMBLED_BOUND_FACTOR,
     ScaleSetup,
@@ -242,7 +242,7 @@ class TestCriterion5BaselineFailure:
         space = edge_piece_path(1000)
         setup = ScaleSetup(r=2, n=1)
         colorings = build_piece_colorings(space, setup)
-        naive = baseline_color(space, setup, colorings, "naive")
+        naive = color_space(space, setup, colorings, "naive")
         naive_mag = magnitude_report(space.graph, naive.as_mapping(), setup.chain).magnitude
         assembled = color_space(space, setup, colorings)
         assembled_mag = magnitude_report(

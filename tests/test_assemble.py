@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treegraded.assemble import (
-    baseline_color,
     color_space,
     combined_color,
     cut_final_piece,
@@ -188,12 +187,12 @@ class TestBaselines:
         space = edge_piece_path(30)
         setup, colorings = pipeline(space)
         for variant in ("naive", "periodic"):
-            assert baseline_color(space, setup, colorings, variant)[0] == 0
+            assert color_space(space, setup, colorings, variant)[0] == 0
 
     def test_naive_never_changes_color_on_edge_piece_path(self):
         space = edge_piece_path(600)
         setup, colorings = pipeline(space)
-        coloring = baseline_color(space, setup, colorings, "naive")
+        coloring = color_space(space, setup, colorings, "naive")
         assert set(coloring.colors) == {0}
 
     def test_periodic_offset_drifts_within_a_piece(self):
@@ -207,7 +206,7 @@ class TestBaselines:
             path_graph(421), [{2 * k, 2 * k + 1, 2 * k + 2} for k in range(210)], 0
         )
         setup, colorings = pipeline(space)
-        periodic = baseline_color(space, setup, colorings, "periodic")
+        periodic = color_space(space, setup, colorings, "periodic")
         combined = color_space(space, setup, colorings)
 
         def offsets(coloring, pid):
@@ -228,7 +227,7 @@ class TestBaselines:
     def test_periodic_differs_from_piece_coloring_with_small_period(self):
         space = single_piece_path(40)
         setup, colorings = pipeline(space, r=2, period=4)
-        periodic = baseline_color(space, setup, colorings, "periodic")
+        periodic = color_space(space, setup, colorings, "periodic")
         pc = colorings[0]
         assert any(periodic[x] != pc.recolored[x] for x in range(41))
         combined = color_space(space, setup, colorings)
@@ -240,8 +239,6 @@ class TestBaselines:
     def test_unknown_variant_rejected(self):
         space = edge_piece_path(4)
         setup, colorings = pipeline(space)
-        with pytest.raises(ValueError):
-            baseline_color(space, setup, colorings, "combined")
         with pytest.raises(ValueError):
             color_space(space, setup, colorings, "bogus")
 

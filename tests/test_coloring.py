@@ -168,6 +168,16 @@ class TestBrickColoring:
         with pytest.raises(ValueError, match="not a grid"):
             brick_coloring(cycle_space(8), 0, anchor=0, brick=2)
 
+    def test_trees_that_are_no_path_from_the_anchor_rejected(self):
+        # a path anchored inside has two vertices at each distance; a tree branches
+        for space, anchor in ((single_piece_path(4), 2), (tree_space(3), 0)):
+            with pytest.raises(ValueError, match="not a grid"):
+                brick_coloring(space, 0, anchor=anchor, brick=2)
+
+    def test_anchor_outside_path_piece_rejected(self):
+        with pytest.raises(ValueError, match="not in piece"):
+            brick_coloring(single_piece_path(5), 0, anchor=99, brick=2)
+
 
 class TestClassifyPiece:
     def test_kinds(self):

@@ -10,13 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treegraded.forge import ForgeSpec, PieceTemplate, gen_free_product_model, gen_random, subdivide_space
-from treegraded.graph import Graph
+from treegraded.graph import Graph, GraphError
 from treegraded.oracles import bfs_dists, brute_nearest_set, brute_project, find_crossing_cycle
 from treegraded.space import InvalidSpaceError, Space, Violation
 
 from conftest import (
     TEMPLATE_POOL,
     chain_of_three_paths,
+    connected_graphs,
+    cycle_graph,
     edge_piece_path,
     path_graph,
     pieces_in_a_cycle,
@@ -146,6 +148,136 @@ class TestValidate:
         assert peak < n * n  # bytes: the rows read are views of the table, not copies
 
 
+def induced_bfs(graph: Graph, piece: frozenset[int], src: int) -> dict[int, int]:
+    """Distances from src inside the subgraph piece induces, by a BFS over
+    the graph's edge list."""
+    adj: dict[int, list[int]] = {v: [] for v in piece}
+    for u, v in graph.edges:
+        if u in piece and v in piece:
+            adj[u].append(v)
+            adj[v].append(u)
+    dist, queue = {src: 0}, [src]
+    for u in queue:
+        for w in adj[u]:
+            if w not in dist:
+                dist[w] = dist[u] + 1
+                queue.append(w)
+    return dist
+
+
+def reference_report(space: Space) -> tuple[tuple[Violation, ...], bool]:
+    """validate's violations as a space that searches every piece would list
+    them: connectivity by a BFS of each piece's induced subgraph, CONVEX by
+    BFS rows inside the piece and in the graph. Also whether EDGE_COVER, T1
+    or TREE failed."""
+    g = space.graph
+    fresh = Space(g, space.pieces, space.basepoint)
+    out = []
+    for pid, piece in enumerate(fresh.pieces):
+        if len(piece) < 2:
+            out.append(Violation("CONNECTED_PIECE", {"piece": pid, "reason": "no edge", "vertices": sorted(piece)}))
+            continue
+        missing = sorted(piece - induced_bfs(g, piece, min(piece)).keys())
+        if missing:
+            out.append(Violation("CONNECTED_PIECE", {"piece": pid, "reason": "disconnected", "unreached": missing[:4]}))
+    structural = fresh._check_edge_cover() + fresh._check_t1() + fresh._check_tree()
+    out += structural
+    if out:
+        for pid, piece in enumerate(fresh.pieces):
+            out += convex_witness(g, pid, piece)
+    return tuple(out), bool(structural)
+
+
+def convex_witness(g: Graph, pid: int, piece: frozenset[int]) -> list[Violation]:
+    """The first pair of piece, row-major, joined inside it by a path longer
+    than their distance in g."""
+    for src in sorted(piece):
+        internal, ambient = induced_bfs(g, piece, src), bfs_dists(g, src)
+        for v in sorted(piece):
+            if v in internal and internal[v] != ambient[v]:
+                witness = {"piece": pid, "pair": (src, v), "internal": internal[v], "ambient": ambient[v]}
+                return [Violation("CONVEX", witness)]
+    return []
+
+
+@st.composite
+def spaces_with_random_pieces(draw) -> Space:
+    g = draw(connected_graphs(max_n=10))
+    vertex = st.integers(0, g.vertex_count - 1)
+    pieces = draw(st.lists(st.sets(vertex, min_size=1, max_size=g.vertex_count), min_size=1, max_size=5))
+    return Space(g, pieces, draw(vertex))
+
+
+@st.composite
+def edited_spaces(draw) -> Space:
+    """A generated space with one piece split in two (the parts may share
+    vertices), shrunk by one vertex or merged with a piece it meets, or with
+    a piece of two vertices added that no piece holds together: that piece has
+    no edge and closes a loop of pieces, which only TREE's cycle count sees."""
+    space = draw(small_spaces(max_budget=4))
+    pieces = [set(p) for p in space.pieces]
+    pid = draw(st.integers(0, len(pieces) - 1))
+    members = sorted(pieces[pid])
+    edit = draw(st.sampled_from(["split", "shrink", "merge", "join"]))
+    if edit == "split":
+        part = draw(st.sets(st.sampled_from(members), min_size=1, max_size=len(members) - 1))
+        shared = draw(st.sets(st.sampled_from(sorted(part)), max_size=2))
+        pieces[pid] = part
+        pieces.append(set(members) - part | shared)
+    elif edit == "shrink":
+        pieces[pid].discard(draw(st.sampled_from(members)))
+    elif edit == "merge":
+        met = [q for q, other in enumerate(pieces) if q != pid and other & pieces[pid]]
+        if met:
+            q = draw(st.sampled_from(met))
+            pieces[pid] |= pieces[q]
+            del pieces[q]
+    else:
+        u = draw(st.sampled_from(members))
+        apart = [v for v in range(space.graph.vertex_count) if not any(u in p and v in p for p in pieces)]
+        if apart:
+            pieces.append({u, draw(st.sampled_from(apart))})
+    return Space(space.graph, pieces, space.basepoint)
+
+
+class TestPieceConnectivity:
+    """validate searches pieces for components only once EDGE_COVER, T1 or
+    TREE fails, which the module docstring proves loses no violation."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(spaces_with_random_pieces(), edited_spaces()))
+    def test_report_equals_searching_every_piece(self, space: Space):
+        expected, structural = reference_report(space)
+        assert space.validate().violations == expected
+        if not structural:  # the theorem itself
+            assert all(v.witness["reason"] != "disconnected" for v in expected if v.axiom == "CONNECTED_PIECE")
+
+    def test_cycle_of_edge_pieces_with_a_two_point_piece(self):
+        # {0, 3} has no edge of its own; only TREE's cycle count sees the loop
+        space = Space(cycle_graph(6), [{i, (i + 1) % 6} for i in range(6)] + [{0, 3}], 0)
+        expected = (
+            Violation("CONNECTED_PIECE", {"piece": 6, "reason": "disconnected", "unreached": [3]}),
+            Violation("TREE", {"reason": "cycle among pieces", "incidences": 14, "nodes": 13}),
+        )
+        assert reference_report(space) == (expected, True)
+        assert space.validate().violations == expected
+
+    def test_valid_space_searches_no_piece(self, monkeypatch):
+        import scipy.sparse.csgraph as csgraph
+
+        searched = []
+        search = csgraph.connected_components
+        monkeypatch.setattr(
+            csgraph, "connected_components", lambda *a, **k: searched.append(a[0].shape[0]) or search(*a, **k)
+        )
+        spec = ForgeSpec(((PieceTemplate.parse("grid:3x4"), 1), (PieceTemplate.parse("path:3"), 1)), 12, seed=5)
+        for space in (tripod_space(arm=3), gen_random(spec)):
+            assert space.validate().ok
+        assert searched == []
+        assert not pieces_in_a_cycle().validate().ok
+        assert searched == [3, 3, 3]  # every piece, once TREE fails
+
+
 def assert_composed_metric(space: Space):
     """validate keeps the pieces' own tables as the metric and nothing of V^2
     entries; rows composed from them must equal the generic all-sources fill
@@ -214,11 +346,56 @@ class TestComposedMetric:
         # beyond what validate keeps, its peak holds no second copy of the tables
         assert peak - kept < tables // 4
 
+    def test_validate_keeps_no_piece_metric_beside_the_tables(self):
+        # the 4,863-vertex rung of the benchmark's ladder: 34 grid pieces, seed 7
+        grid = PieceTemplate.parse("grid:12x12")
+        spec = ForgeSpec(((grid, 1),), 34, max_tree_depth=10, attach_spacing=3, branch_cap=3, seed=7)
+        space = gen_random(spec)
+        tracemalloc.start()
+        try:
+            assert space.validate().ok
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the incidence maps, and no adjacency dicts or rows of a second piece metric
+        assert kept - space.graph._tables.flat.nbytes <= 1_100_000
+
     def test_matrix_filled_before_validation_is_kept(self):
         space = tripod_space(arm=2)
         before = space.graph.dist_block(range(space.graph.vertex_count)).copy()
         assert space.validate().ok
         assert np.array_equal(space.graph.dist_block(range(space.graph.vertex_count)), before)
+
+
+class TestPieceDistFrom:
+    @settings(max_examples=40, deadline=None)
+    @given(small_spaces())
+    def test_equals_bfs_on_the_induced_subgraph(self, space: Space):
+        g = space.graph
+        for pid, piece in enumerate(space.pieces):
+            members = sorted(piece)
+            local = {v: i for i, v in enumerate(members)}
+            sub = Graph(len(members), [(local[u], local[v]) for u, v in g.edges if u in piece and v in piece])
+            for i, v in enumerate(members):
+                assert space.piece_dist_from(pid, v) == dict(zip(members, bfs_dists(sub, i)))
+
+    def test_invalid_space_raises(self):
+        with pytest.raises(InvalidSpaceError):
+            two_triangles_sharing_edge().piece_dist_from(0, 0)
+
+    def test_spaces_sharing_a_graph_keep_their_own_tables(self):
+        # a square and a path: rooted at 5, the graph's tables are placed in
+        # the other order, and they replace the ones the first space composed
+        g = Graph(6, [(0, 1), (1, 2), (2, 3), (0, 3), (3, 4), (4, 5)])
+        first, second = (Space(g, [{0, 1, 2, 3}, {3, 4, 5}], base) for base in (0, 5))
+        assert first.validate().ok and second.validate().ok
+        assert first.piece_dist_from(0, 0) == second.piece_dist_from(0, 0) == {0: 0, 1: 1, 2: 2, 3: 1}
+        assert first.piece_dist_from(1, 5) == {3: 2, 4: 1, 5: 0}
+
+    def test_source_outside_the_piece_raises(self):
+        space = chain_of_three_paths()
+        with pytest.raises(GraphError, match="vertex 4 not in piece 0"):
+            space.piece_dist_from(0, 4)
 
 
 class TestGluingTree:
