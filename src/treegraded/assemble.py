@@ -19,22 +19,25 @@ measuring its length. Two deliberately defective baselines share the same
 machinery: "naive" keeps only the first sum, "periodic" keeps full beta
 lengths without the truncation.
 
-`color_space` walks the canonical geodesic tree once, carrying per-vertex
-prefix state, so the whole space costs O(V); `combined_color` rebuilds the
-trace explicitly for one vertex and is the reference the fast path is tested
-against.
+The canonical geodesics from the basepoint form one tree, which no scale
+changes, so a valid space keeps it (Space.geodesic_tree): each vertex's
+distance, canonical parent and the piece owning its parent edge, with the
+vertices in BFS order. `color_space` walks that kept tree once per coloring,
+carrying per-vertex prefix state, so the whole space costs O(V) and reads no
+row and no edge owner of its own. `trace` reads gamma and its piece runs off
+the same tree; `trace_from_path` cuts an explicit geodesic into runs by its
+edges' owners. `combined_color` evaluates one vertex's trace and is the
+reference the fast path is tested against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
-
-import numpy as np
+from typing import Mapping, Sequence
 
 from .coloring import PieceColoring, ScaleSetup, SpaceColoring
 from .graph import Path
-from .space import Space
+from .space import InvalidSpaceError, Space
 
 VARIANTS = ("combined", "naive", "periodic")
 
@@ -78,16 +81,30 @@ class ColorBreakdown:
     total: int
 
 
-def decompose_path(space: Space, path: Path) -> list[tuple[int, int, int]]:
-    """Maximal runs of consecutive edges owned by one piece: (piece, i, j)."""
+def _edge_owners(space: Space, verts: Sequence[int]) -> list[int]:
+    """The piece owning each edge of the vertex sequence verts, read from
+    one lookup of the space's edge owners."""
+    owner = space.piece_of_edge
+    try:
+        return [owner[(a, b) if a < b else (b, a)] for a, b in zip(verts, verts[1:])]
+    except KeyError as e:
+        raise InvalidSpaceError(f"edge {e.args[0]} belongs to no piece") from None
+
+
+def _runs(owners: Sequence[int]) -> list[tuple[int, int, int]]:
+    """Maximal runs of consecutive edges with one owner: (piece, i, j)."""
     runs: list[tuple[int, int, int]] = []
-    for i in range(path.length):
-        p = space.edge_piece(path[i], path[i + 1])
-        if runs and runs[-1][0] == p and runs[-1][2] == i:
+    for i, p in enumerate(owners):
+        if runs and runs[-1][0] == p:
             runs[-1] = (p, runs[-1][1], i + 1)
         else:
             runs.append((p, i, i + 1))
     return runs
+
+
+def decompose_path(space: Space, path: Path) -> list[tuple[int, int, int]]:
+    """Maximal runs of consecutive edges owned by one piece: (piece, i, j)."""
+    return _runs(_edge_owners(space, path.vertices))
 
 
 def cut_final_piece(space: Space, beta: Path) -> Path:
@@ -100,24 +117,19 @@ def cut_final_piece(space: Space, beta: Path) -> Path:
     """
     if beta.length == 0:
         return beta
-    last = len(beta.vertices) - 1
-    piece = space.edge_piece(beta[last - 1], beta[last])
-    start = last - 1
-    while start > 0 and space.edge_piece(beta[start - 1], beta[start]) == piece:
-        start -= 1
-    return beta.subpath(0, start)
+    return beta.subpath(0, decompose_path(space, beta)[-1][1])
 
 
-def trace_from_path(
-    space: Space,
+def _trace_runs(
     setup: ScaleSetup,
     colorings: Mapping[int, PieceColoring],
     gamma: Path,
+    runs: Sequence[tuple[int, int, int]],
 ) -> GeodesicTrace:
-    """Trace an explicit geodesic from the basepoint (used directly by the
-    geodesic-independence oracle; `trace` wraps it with the canonical one)."""
+    """The trace of gamma, a geodesic from the basepoint, cut into the piece
+    runs runs."""
     segments = []
-    for piece, i, j in decompose_path(space, gamma):
+    for piece, i, j in runs:
         exit_vertex = gamma[j]
         segments.append(
             PieceSegment(
@@ -151,11 +163,36 @@ def trace_from_path(
     )
 
 
+def trace_from_path(
+    space: Space,
+    setup: ScaleSetup,
+    colorings: Mapping[int, PieceColoring],
+    gamma: Path,
+) -> GeodesicTrace:
+    """Trace an explicit geodesic from the basepoint, cut into piece runs by
+    the owners of its edges (used directly by the geodesic-independence
+    oracle; `trace` reads the canonical one off the geodesic tree)."""
+    return _trace_runs(setup, colorings, gamma, decompose_path(space, gamma))
+
+
 def trace(
     space: Space, setup: ScaleSetup, colorings: Mapping[int, PieceColoring], x: int
 ) -> GeodesicTrace:
-    gamma = space.graph.canonical_geodesic(space.basepoint, x)
-    return trace_from_path(space, setup, colorings, gamma)
+    """The trace of x along the canonical geodesic from the basepoint, read
+    off the space's geodesic tree: gamma by walking parents back from x, its
+    piece runs from the owners of the parent edges."""
+    space.graph.check_vertex(x)
+    tree = space.geodesic_tree()
+    parents, owner = tree.parents, tree.owner
+    verts, owners = [x], []
+    v = x
+    while (u := parents.item(v)) >= 0:
+        owners.append(owner.item(v))
+        verts.append(u)
+        v = u
+    verts.reverse()
+    owners.reverse()
+    return _trace_runs(setup, colorings, Path(tuple(verts)), _runs(owners))
 
 
 def evaluate_trace(
@@ -196,7 +233,7 @@ def color_space(
     colorings: Mapping[int, PieceColoring],
     variant: str = "combined",
 ) -> SpaceColoring:
-    """Color every vertex in one pass over the canonical geodesic tree.
+    """Color every vertex in one pass over the space's kept geodesic tree.
 
     Per-vertex state consists of prefix sums over completed piece runs plus
     the open run's entry position and the open beta's start position; a child
@@ -209,14 +246,12 @@ def color_space(
     period = setup.color_period
     if variant != "naive" and not period:
         raise ValueError("color period not set (piece magnitude missing)")
-    g = space.graph
-    root = space.basepoint
-    dist = g.dist_row(root)
-    parents = g.canonical_parents(root)
+    tree = space.geodesic_tree()
+    dist, parents, owner = tree.dist.tolist(), tree.parents.tolist(), tree.owner.tolist()
     rho = setup.reduction_radius
     ncolors = setup.colors
 
-    v_count = g.vertex_count
+    v_count = len(dist)
     first_prefix = [0] * v_count
     floor_prefix = [0] * v_count
     run_piece = [-1] * v_count
@@ -224,18 +259,14 @@ def color_space(
     beta_start = [0] * v_count
     colors = [0] * v_count
 
-    order = np.argsort(dist, kind="stable")
-    for v64 in order:
-        v = int(v64)
-        if v == root:
-            continue
-        u = int(parents[v])
+    for v in tree.order.tolist()[1:]:  # the basepoint, alone at distance 0, comes first
+        u = parents[v]
         fp = first_prefix[u]
         flp = floor_prefix[u]
         rp = run_piece[u]
         re = run_entry[u]
         bs = beta_start[u]
-        p = space.edge_piece(u, v)
+        p = owner[v]
         if rp != p:
             if rp != -1:
                 pc = colorings[rp]
@@ -245,9 +276,9 @@ def color_space(
                         flp += (max(re, bs) - bs) // period
                     elif variant == "periodic":
                         flp += (re + rho - bs) // period
-                    bs = int(dist[u])  # next beta opens at the long run's exit
+                    bs = dist[u]  # next beta opens at the long run's exit
             rp = p
-            re = int(dist[u])
+            re = dist[u]
         first_prefix[v] = fp
         floor_prefix[v] = flp
         run_piece[v] = rp
@@ -260,7 +291,7 @@ def color_space(
             total += flp + (max(re, bs) - bs) // period
         elif variant == "periodic":
             if v in pc.base_component:  # open run short: final beta reaches v
-                total += flp + (int(dist[v]) - bs) // period
+                total += flp + (dist[v] - bs) // period
             else:  # open run long: beta closes at the reduced run's start
                 total += flp + (re + rho - bs) // period
         colors[v] = total % ncolors

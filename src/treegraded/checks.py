@@ -52,7 +52,7 @@ from .coloring import (
     ScaleSetup,
     SpaceColoring,
 )
-from .graph import Graph, weak_chain
+from .graph import Graph, piece_diameters, weak_chain
 from .rng import SplitMix64
 from .space import Space
 
@@ -208,13 +208,20 @@ def check_projection_stability(ana: SpaceAnalysis, rng: SplitMix64, samples: int
     return res
 
 
-def _random_weak_chain(ana: SpaceAnalysis, r: int, rng: SplitMix64) -> list[int]:
+def _random_weak_chain(ana: SpaceAnalysis, r: int, rng: SplitMix64, balls: dict[int, np.ndarray]) -> list[int]:
+    """A random weak r-chain: a uniform start, then 2 to 12 steps, each to a
+    uniform member of the current point's r-ball in ascending order. balls
+    holds the r-ball of every point stepped from so far, and gains the new
+    ones."""
     g = ana.space.graph
     cur = rng.randint(0, g.vertex_count - 1)
     chain = [cur]
     for _ in range(rng.randint(2, 12)):
-        near = np.nonzero(g.dist_row(cur) <= r)[0]
-        cur = int(near[rng.randint(0, len(near) - 1)])
+        near = balls.get(cur)
+        if near is None:
+            # int32 halves what the balls hold while the check runs
+            near = balls[cur] = np.flatnonzero(g.dist_row(cur) <= r).astype(np.int32)
+        cur = near.item(rng.randint(0, near.size - 1))
         chain.append(cur)
     return chain
 
@@ -236,8 +243,9 @@ def check_chain_entry_projection(
     res.info["chains_sampled"] = samples
     space = ana.space
     g = space.graph
+    balls: dict[int, np.ndarray] = {}  # for this call only, so no cell keeps them
     for _ in range(samples):
-        chain = _random_weak_chain(ana, r, rng)
+        chain = _random_weak_chain(ana, r, rng, balls)
         x0, xm = chain[0], chain[-1]
         omega = g.canonical_geodesic(x0, xm)
         met: list[tuple[int, int, int]] = []  # (piece, entry vertex, exit vertex)
@@ -365,7 +373,7 @@ def check_piece_offset(
         # color, then by smallest vertex
         verts = sorted(space.pieces[pid])
         colors = [coloring[x] for x in verts]
-        comp, diams = space.graph.piece_diameters(verts, colors, setup.chain.max_step)
+        comp, diams = piece_diameters(space.piece_table(pid), colors, setup.chain.max_step)
         res.checked += diams.size
         for k in np.flatnonzero(diams > bound).tolist():
             members = [x for x, j in zip(verts, comp.tolist()) if j == k]
@@ -496,14 +504,11 @@ def check_in_piece_chain_distance(space: Space, setup: ScaleSetup, report: Magni
     # ambient components numbered by color, then by smallest vertex
     comps = [comp for parts in report.components.values() for comp in parts]
     colors = [c for c, parts in report.components.items() for _ in parts]
-    comp_of = np.empty(g.vertex_count, dtype=np.int64)
-    for k, comp in enumerate(comps):
-        comp_of[list(comp)] = k
+    comp_of = report.component_labels
     over: list[tuple[int, int]] = []  # (component, piece) whose part in the piece is too wide
     for pid, piece in enumerate(space.pieces):
-        verts = sorted(piece)
-        labels = comp_of[verts]
-        comp, diams = g.piece_diameters(verts, labels)
+        labels = comp_of[sorted(piece)]
+        comp, diams = piece_diameters(space.piece_table(pid), labels)
         res.checked += int((np.bincount(comp) >= 2).sum())
         ids = np.unique(labels)  # the component of each diameter
         over += [(k, pid) for k in ids[diams > bound].tolist()]
@@ -542,23 +547,25 @@ def check_geodesic_chain_distance(
     bound = GEODESIC_CHAIN_FACTOR * setup.require_magnitude()
     max_step = setup.chain.max_step
     n = g.vertex_count
+    comps = [comp for parts in report.components.values() for comp in parts]
+    comp_of = report.component_labels
+    # component -> mask of the vertices within max_step of it, where a strict
+    # chain in the component can land; for this call only
+    landings: dict[int, np.ndarray] = {}
     targets = {rng.randint(0, n - 1) for _ in range(samples)}
     for x in sorted(targets):
         tr = trace(space, setup, colorings, x)
         gamma = tr.gamma
         if gamma.length == 0:
             continue
-        comp = sorted(next(part for part in report.components[coloring[x]] if x in part))
-        comp_arr = np.asarray(comp, dtype=np.int64)
+        k = comp_of.item(x)
+        landing = landings.get(k)
+        if landing is None:
+            landing = landings[k] = g.near_mask(comps[k], max_step)
         gamma_arr = np.asarray(gamma.vertices, dtype=np.int64)
-        # rows of the short geodesic, not of the whole component
-        mindist = g.dist_block(gamma_arr, comp_arr).min(axis=1)
-        in_comp = np.isin(gamma_arr, comp_arr)
         long_runs = [(seg.start, seg.end) for seg in tr.segments if seg.long]
         length = gamma.length
-        for t in range(length + 1):
-            if not (in_comp[t] or mindist[t] <= max_step):
-                continue
+        for t in np.flatnonzero(landing[gamma_arr]).tolist():
             if any(a < t < b for a, b in long_runs):
                 continue  # straddled landing point: hypothesis fails
             res.checked += 1

@@ -28,16 +28,18 @@ table. The distances that place a piece's colors (band distances from the
 root of a tree piece, the path of a one-row brick piece, the recolored 2r-ball
 around the base vertex) are rows of it, read by Space.piece_dist_from; shapes
 are found from the graph's adjacency restricted to the piece. Measurement
-takes one Graph.piece_diameters pass per piece: the magnitude of a raw piece
-coloring (compute_piece_magnitude, certify_piece_colorings), and the base
-component, the chain component of the base vertex among the piece's color-0
-vertices, with its diameter. These require a valid space. magnitude_report
-measures any coloring of the whole graph: one scale_components search per
-color class, then Graph.diameters, which reads the components inside one
-piece from that piece's table, and one diameter_witness call per color for
-the witness pair. The report keeps those components, and an experiment cell
+takes one piece_diameters pass over the table the space keeps for the piece
+(Space.piece_table): the magnitude of a raw piece coloring
+(compute_piece_magnitude, certify_piece_colorings), and the base component,
+the chain component of the base vertex among the piece's color-0 vertices,
+with its diameter. These require a valid space. magnitude_report measures
+any coloring of the whole graph: one scale_components search per color
+class, then Graph.diameters, which reads the components inside one piece
+from that piece's table, and one diameter_witness call per color for the
+witness pair. The report keeps those components, and an experiment cell
 hands them to its property checks, so that each cell splits its coloring
-into classes and scale components once.
+into classes and scale components once, and labels each vertex with its
+component once (component_labels).
 
 A piece's shape does not depend on the scale, so classify_piece computes it
 once per space and piece and keeps it on the Space itself: a cache outside
@@ -48,9 +50,12 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, Sequence
 
-from .graph import ChainPredicate, Graph
+import numpy as np
+
+from .graph import ChainPredicate, Graph, piece_diameters
 from .space import Space
 
 PERIOD_FACTOR = 99  # color period = PERIOD_FACTOR * piece magnitude
@@ -158,8 +163,20 @@ class MagnitudeReport:
     magnitude: int
     witness: tuple[int, int] | None
     # scale components of each color class, in color order, each list sorted
-    # by smallest vertex; not part of the report's value
+    # by smallest vertex, and the vertex count of the measured graph; not part
+    # of the report's value
     components: dict[int, list[frozenset[int]]] = field(compare=False, repr=False)
+    vertex_count: int = field(compare=False, repr=False)
+
+    @cached_property
+    def component_labels(self) -> np.ndarray:
+        """Each vertex's component: its index in the components listed color
+        by color (-1 for a vertex the coloring leaves out). Built on first
+        use, so the checks of a cell share one array."""
+        labels = np.full(self.vertex_count, -1, dtype=np.int64)
+        for k, comp in enumerate(comp for parts in self.components.values() for comp in parts):
+            labels[list(comp)] = k
+        return labels
 
     def to_dict(self) -> dict:
         return {
@@ -212,7 +229,7 @@ def magnitude_report(
         per_color.append(ColorClassReport(c, len(parts), best, best_witness))
         if best > overall:
             overall, overall_witness = best, best_witness
-    return MagnitudeReport(tuple(per_color), overall, overall_witness, comps)
+    return MagnitudeReport(tuple(per_color), overall, overall_witness, comps, graph.vertex_count)
 
 
 # -- piece shape detection ----------------------------------------------------
@@ -494,12 +511,12 @@ def base_component(
 
     Read from the piece's own distance table, which a valid space keeps: only
     then is the piece convex and its table exact."""
-    space.require_valid()
+    table = space.piece_table(pid)
     if recolored[base] != 0:
         raise ValueError(f"base vertex {base} of piece {pid} is not color 0")
     verts = sorted(space.pieces[pid])
     zero = [0 if recolored[v] == 0 else -1 for v in verts]
-    comp, diams = space.graph.piece_diameters(verts, zero, setup.chain.max_step)
+    comp, diams = piece_diameters(table, zero, setup.chain.max_step)
     mine = comp[verts.index(base)]
     return frozenset(v for v, k in zip(verts, comp.tolist()) if k == mine), int(diams[mine])
 
@@ -523,9 +540,9 @@ def finalize_piece_coloring(
 def _piece_magnitude(space: Space, pid: int, raw: Mapping[int, int], pred: ChainPredicate) -> int:
     """Magnitude of a coloring of exactly the vertices of piece pid: the same
     number as magnitude_report, read in one pass over the piece's table."""
-    space.require_valid()
-    verts = sorted(space.pieces[pid])
-    return int(space.graph.piece_diameters(verts, [raw[v] for v in verts], pred.max_step)[1].max())
+    table = space.piece_table(pid)
+    labels = [raw[v] for v in sorted(space.pieces[pid])]
+    return int(piece_diameters(table, labels, pred.max_step)[1].max())
 
 
 def compute_piece_magnitude(

@@ -43,8 +43,8 @@ Known limit: memory is the sum of |P|^2 over the pieces plus the rows that
 have been read, so one huge piece, a graph that is not split into pieces, or a
 caller that reads every row is still quadratic.
 
-The two measurement queries never allocate an array of |S|^2 entries for a
-vertex set S:
+The three set queries never allocate an array of |S|^2 entries for a vertex
+set S:
 
   scale_components   one multi-source BFS from all of S to depth floor(s/2),
                      s the chain step, gives every reached vertex w its
@@ -55,6 +55,11 @@ vertex set S:
                      between members with L <= s, delta(p_j) <= min(j, L - j),
                      so every p_j is reached and every edge of it joins. No
                      distance is read.
+  near_mask          the same multi-source BFS from all of S, cut off at a
+                     radius rho (scipy's dijkstra with min_only and limit
+                     rho): a vertex is reached exactly when its distance to S
+                     is at most rho, so one search marks them all, with no
+                     row read and no |S| x V block.
   diameter_witness   the first maximum, row-major, of the sorted |S| x |S|
                      distance block: the first member x of largest
                      eccentricity within S, then the first member y at that
@@ -75,9 +80,9 @@ vertex set S:
                      vertex, then gives x's distance to every member, and y.
 
 Inside one kept piece P the table already holds every distance, so
-piece_diameters measures all classes of a labelling of P in one numpy pass
-over P's rows, with no per-class search: it splits each class into chain
-components (the pairs of a block within the step, joined as in
+piece_diameters, handed P's table, measures all classes of a labelling of P
+in one numpy pass over P's rows, with no per-class search: it splits each
+class into chain components (the pairs of a block within the step, joined as in
 scale_components) and takes each component's diameter as the largest entry
 between its members. Skipped vertices are left out, and the labelled rows
 are read a block of at most _BLOCK_ENTRIES / 2 entries at a time: views of the
@@ -278,6 +283,67 @@ def _anchored_max(
         best = reach if best is None else np.maximum(best, reach)
         del block  # so that the next block is never held beside this one
     return best
+
+
+def piece_diameters(
+    table: np.ndarray, labels: ArrayLike, max_step: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Components of the classes of one piece and their diameters, read from
+    the piece's distance table alone (rows and columns over its sorted
+    vertices, as Space.piece_table hands it out).
+
+    labels holds a class for each vertex of the piece, in sorted vertex order;
+    a negative label skips the vertex. Without max_step each class is one
+    component; with it, each class splits into its chain components (steps
+    d <= max_step). Components are numbered by class, then by smallest
+    vertex. Returns each vertex's component (-1 when skipped) and each
+    component's diameter.
+
+    The table is read for the labelled vertices only, a block of at most
+    _BLOCK_ENTRIES entries at a time: one pass joins the chain steps, one
+    takes each row's farthest member of its own component.
+    """
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.shape != (table.shape[0],):
+        raise GraphError(f"piece of {table.shape[0]} vertices got labels of shape {labels.shape}")
+    at = np.flatnonzero(labels >= 0)
+    n = at.size
+    labels = labels[at].astype(np.int32)  # int32 compares twice as fast as int64
+    # half blocks: a gathered int32 block and its masks then stay within
+    # the bytes of one int32 block of _BLOCK_ENTRIES entries
+    height = max(1, _BLOCK_ENTRIES // (2 * max(n, 1)))
+
+    def rows(lo: int) -> np.ndarray:  # from labelled vertices lo.. to every labelled vertex
+        if n == table.shape[0]:
+            return table[lo : lo + height]  # a view
+        return table[np.ix_(at[lo : lo + height], at)]
+
+    if max_step is None:  # each class is one component, headed by its first vertex
+        _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+        roots = first[inverse]
+    else:
+        roots = np.arange(n, dtype=np.int32)
+        for lo in range(0, n, height):
+            near = (rows(lo) <= max_step) & (labels[lo : lo + height, None] == labels)
+            here = np.arange(lo, lo + near.shape[0])
+            # join each row to its first near column, then the pairs still apart
+            roots = _union_labels(roots, here, near.argmax(axis=1))
+            near &= roots[here, None] != roots
+            i = np.flatnonzero(near)
+            roots = _union_labels(roots, i // n + lo, i % n)
+    # number the components by class, then by smallest vertex
+    heads = np.flatnonzero(roots == np.arange(n))
+    heads = heads[np.argsort(labels[heads], kind="stable")]
+    rank = np.empty(n, dtype=np.int32)
+    rank[heads] = np.arange(heads.size)
+    mine = rank[roots]
+    diam = np.zeros(heads.size, dtype=table.dtype)
+    for lo in range(0, n, height):
+        own = mine[lo : lo + height]
+        np.maximum.at(diam, own, rows(lo).max(axis=1, where=own[:, None] == mine, initial=0))
+    comp = np.full(table.shape[0], -1, dtype=np.int32)
+    comp[at] = mine
+    return comp, diam
 
 
 class Graph:
@@ -648,82 +714,6 @@ class Graph:
                     stack.append(q)
         return best, (x, arr.item(dists.argmax()))
 
-    def _kept_piece(self, piece: Iterable[int]) -> int:
-        """Index of the kept table whose piece has exactly the vertices of piece."""
-        t = self._ensure_tables()
-        verts = self._members(piece)
-        if verts.size:
-            homes = t.home[verts]
-            k = int(homes.max())
-            # piece k places all of its vertices but its cut
-            if verts.size == t.size[k] and ((homes == k) | (verts == t.cut[k])).all():
-                return k
-        raise GraphError(f"no table is kept for piece {verts.tolist()[:4]}")
-
-    def piece_diameters(
-        self, piece: Iterable[int], labels: ArrayLike, max_step: int | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Components of the classes of one kept piece and their diameters,
-        read from that piece's table alone.
-
-        labels holds a class for each vertex of piece, in sorted vertex order;
-        a negative label skips the vertex. Without max_step each class is one
-        component; with it, each class splits into its chain components (steps
-        d <= max_step). Components are numbered by class, then by smallest
-        vertex. Returns each vertex's component (-1 when skipped) and each
-        component's diameter.
-        """
-        k = self._kept_piece(piece)
-        labels = np.asarray(labels, dtype=np.int64)
-        if labels.shape != (self._tables.size[k],):
-            raise GraphError(f"piece of {self._tables.size[k]} vertices got labels of shape {labels.shape}")
-        return self._piece_pass(k, labels, max_step)
-
-    def _piece_pass(self, k: int, labels: np.ndarray, max_step: int | None) -> tuple[np.ndarray, np.ndarray]:
-        """piece_diameters on piece k's table, restricted to the labelled
-        vertices and read a block of at most _BLOCK_ENTRIES entries at a time:
-        one pass joins the chain steps, one takes each row's farthest member
-        of its own component."""
-        table = self._tables.table(k)
-        at = np.flatnonzero(labels >= 0)
-        n = at.size
-        labels = labels[at].astype(np.int32)  # int32 compares twice as fast as int64
-        # half blocks: a gathered int32 block and its masks then stay within
-        # the bytes of one int32 block of _BLOCK_ENTRIES entries
-        height = max(1, _BLOCK_ENTRIES // (2 * max(n, 1)))
-
-        def rows(lo: int) -> np.ndarray:  # from labelled vertices lo.. to every labelled vertex
-            if n == table.shape[0]:
-                return table[lo : lo + height]  # a view
-            return table[np.ix_(at[lo : lo + height], at)]
-
-        if max_step is None:  # each class is one component, headed by its first vertex
-            _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
-            roots = first[inverse]
-        else:
-            roots = np.arange(n, dtype=np.int32)
-            for lo in range(0, n, height):
-                near = (rows(lo) <= max_step) & (labels[lo : lo + height, None] == labels)
-                here = np.arange(lo, lo + near.shape[0])
-                # join each row to its first near column, then the pairs still apart
-                roots = _union_labels(roots, here, near.argmax(axis=1))
-                near &= roots[here, None] != roots
-                i = np.flatnonzero(near)
-                roots = _union_labels(roots, i // n + lo, i % n)
-        # number the components by class, then by smallest vertex
-        heads = np.flatnonzero(roots == np.arange(n))
-        heads = heads[np.argsort(labels[heads], kind="stable")]
-        rank = np.empty(n, dtype=np.int32)
-        rank[heads] = np.arange(heads.size)
-        mine = rank[roots]
-        diam = np.zeros(heads.size, dtype=table.dtype)
-        for lo in range(0, n, height):
-            own = mine[lo : lo + height]
-            np.maximum.at(diam, own, rows(lo).max(axis=1, where=own[:, None] == mine, initial=0))
-        comp = np.full(table.shape[0], -1, dtype=np.int32)
-        comp[at] = mine
-        return comp, diam
-
     def diameters(self, parts: Sequence[Iterable[int]]) -> list[tuple[int, tuple[int, int] | None]]:
         """The diameter of each of the disjoint, non-empty vertex sets parts,
         with its diameter_witness pair when the set spans pieces.
@@ -756,7 +746,7 @@ class Graph:
         for q, run in zip(held.tolist(), np.split(at, starts[1:])):
             labels = np.full(t.size[q], -1, dtype=np.int64)
             labels[np.where(homes[run] == q, t.local[members[run]], t.cut_row[q])] = which[run]
-            for i, diam in zip(np.unique(which[run]).tolist(), self._piece_pass(q, labels, None)[1].tolist()):
+            for i, diam in zip(np.unique(which[run]).tolist(), piece_diameters(t.table(q), labels)[1].tolist()):
                 out[i] = (diam, None)
         return out
 
@@ -783,6 +773,17 @@ class Graph:
             np.searchsorted(members, nearest[vs[joined]]),
         )
         return _parts(members, labels)
+
+    def near_mask(self, subset: Iterable[int], radius: int) -> np.ndarray:
+        """Boolean mask of the vertices within distance radius of subset (the
+        members included), from one multi-source BFS cut off at radius."""
+        members = self._members(subset)
+        if not members.size:
+            raise GraphError("distance to an empty subset")
+        if radius < 0:
+            raise GraphError("radius must be non-negative")
+        delta = _dijkstra(self._csr, directed=True, indices=members, min_only=True, limit=radius)
+        return delta <= radius
 
     def diameter(self) -> int:
         return self.set_diameter(range(self.vertex_count))

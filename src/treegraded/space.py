@@ -48,17 +48,21 @@ stretch runs from c to d through pieces and cut vertices other than P. With
 the incidences P-c and d-P it closes a cycle in the incidence structure, so
 TREE fails.
 
-The piece-internal metric is that of the kept tables: piece_dist_from reads
-a row of its piece's table, so it needs a valid space. The two searches of
-invalid spaces, for components and for CONVEX witnesses, run scipy on each
-piece's induced subgraph (Graph.induced).
+The piece-internal metric is that of the kept tables: piece_table hands out
+a piece's table and piece_dist_from reads a row of it, so both need a valid
+space. A valid space also keeps its canonical geodesic tree from the
+basepoint (geodesic_tree), which does not depend on any scale. The two
+searches of invalid spaces, for components and for CONVEX witnesses, run
+scipy on each piece's induced subgraph (Graph.induced).
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
+
+import numpy as np
 
 from .graph import Graph, GraphError, normalize_edge
 
@@ -111,6 +115,22 @@ class PieceTree:
         return sum(1 for c in self.piece_parent.values() if c is not None) + len(self.cut_parent)
 
 
+class GeodesicTree(NamedTuple):
+    """The canonical geodesic tree from the basepoint, which no scale changes.
+
+    dist[v] is d(basepoint, v) and parents[v] the smallest neighbor one unit
+    closer (-1 at the basepoint), so walking parents back from v gives
+    canonical_geodesic(basepoint, v); order lists the vertices by distance,
+    stably, so each comes after its parent; owner[v] is the piece owning the
+    edge (parents[v], v) (-1 at the basepoint).
+    """
+
+    dist: np.ndarray
+    parents: np.ndarray
+    order: np.ndarray
+    owner: np.ndarray
+
+
 class Space:
     """Graph + piece decomposition + basepoint. Immutable once validated."""
 
@@ -129,8 +149,9 @@ class Space:
         self._piece_shapes: dict[int, object] = {}  # coloring.classify_piece, by piece id
         self._report: ValidationReport | None = None
         self._tree: PieceTree | None = None
-        self._piece_tables: dict[int, object] = {}  # piece id -> its kept distance table, once valid
+        self._piece_tables: dict[int, np.ndarray] = {}  # piece id -> its kept distance table, once valid
         self._basepoints: dict[int, int] | None = None
+        self._geodesic_tree: GeodesicTree | None = None
 
     # -- derived incidence data -------------------------------------------------
 
@@ -171,6 +192,12 @@ class Space:
             raise InvalidSpaceError(f"edge {e} belongs to no piece") from None
 
     # -- piece-internal metric --------------------------------------------------
+
+    def piece_table(self, pid: int) -> np.ndarray:
+        """Piece pid's distance table, rows and columns over its sorted
+        vertices, which a valid space keeps; callers read it and do not write."""
+        self.require_valid()
+        return self._piece_tables[pid]
 
     def piece_dist_from(self, pid: int, src: int) -> dict[int, int]:
         """Distances from src to every vertex of piece pid inside the piece,
@@ -375,6 +402,26 @@ class Space:
         parent = tree.piece_parent[pid]
         assert parent is not None
         return parent
+
+    def geodesic_tree(self) -> GeodesicTree:
+        """The canonical geodesic tree from the basepoint, built once on a
+        valid space in O(V): one distance row, canonical_parents, and one edge
+        owner lookup per vertex."""
+        if self._geodesic_tree is None:
+            self.require_valid()
+            g, root = self.graph, self.basepoint
+            dist = g.dist_row(root).copy()  # not a view that would keep the row store alive
+            # int32 throughout, like the rows: the tree lives as long as the space
+            parents = g.canonical_parents(root).astype(np.int32)
+            edge_owner = self.piece_of_edge
+            owner = np.fromiter(
+                (-1 if u < 0 else edge_owner[(u, v) if u < v else (v, u)] for v, u in enumerate(parents.tolist())),
+                dtype=np.int32,
+                count=parents.size,
+            )
+            order = dist.argsort(kind="stable").astype(np.int32)
+            self._geodesic_tree = GeodesicTree(dist, parents, order, owner)
+        return self._geodesic_tree
 
     def basepoints(self) -> dict[int, int]:
         """Per-piece base vertex: the projection of the space basepoint."""

@@ -13,12 +13,21 @@ from treegraded.assemble import (
     decompose_path,
     evaluate_trace,
     trace,
+    trace_from_path,
 )
 from treegraded.coloring import ScaleSetup, build_piece_colorings, natural_color_count
-from treegraded.graph import Path
-from treegraded.space import Space
+from treegraded.graph import GraphError, Path
+from treegraded.space import InvalidSpaceError, Space
 
-from conftest import chain_of_three_paths, edge_piece_path, single_piece_path, small_spaces
+from conftest import (
+    chain_of_three_paths,
+    edge_piece_path,
+    path_graph,
+    single_piece_path,
+    small_spaces,
+    two_triangles_sharing_edge,
+    validated_spaces,
+)
 
 
 def pipeline(space: Space, r: int = 2, n: int | None = None, period: int | None = None):
@@ -89,6 +98,43 @@ class TestTrace:
         assert tr.beta_ranges[0][0] == 0 and tr.beta_ranges[-1][1] == tr.gamma.length
         for (_, b_end), (_, red_start, _) in zip(tr.beta_ranges, tr.reduced):
             assert b_end == red_start
+
+
+class TestGeodesicTree:
+    """trace reads gamma and its runs off the space's kept geodesic tree; they
+    must be those of the canonical geodesic, cut by decompose_path."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(validated_spaces, st.integers(2, 4))
+    def test_trace_equals_the_canonical_geodesic_trace(self, space, r):
+        g, root = space.graph, space.basepoint
+        tree = space.geodesic_tree()
+        assert space.geodesic_tree() is tree
+        assert tree.parents.tolist() == g.canonical_parents(root).tolist()
+        assert tree.dist.tolist() == g.dist_row(root).tolist()
+        assert tree.order.tolist() == sorted(range(g.vertex_count), key=lambda v: (tree.dist[v], v))
+        parents = tree.parents.tolist()
+        assert tree.owner.tolist() == [-1 if u < 0 else space.edge_piece(u, v) for v, u in enumerate(parents)]
+        setup, colorings = pipeline(space, r=r)
+        for x in range(g.vertex_count):
+            gamma = g.canonical_geodesic(root, x)
+            assert trace(space, setup, colorings, x) == trace_from_path(space, setup, colorings, gamma)
+
+    def test_invalid_space_and_unknown_target_raise(self):
+        with pytest.raises(InvalidSpaceError):
+            two_triangles_sharing_edge().geodesic_tree()
+        space = chain_of_three_paths()
+        setup, colorings = pipeline(space)
+        for x in (-1, 7):
+            with pytest.raises(GraphError):
+                trace(space, setup, colorings, x)
+
+    def test_edge_in_no_piece_raises(self):
+        space = Space(path_graph(4), [{0, 1}, {1, 2}], 0)  # edge (2, 3) lies in no piece
+        with pytest.raises(InvalidSpaceError):
+            decompose_path(space, Path((1, 2, 3)))
+        with pytest.raises(InvalidSpaceError):
+            cut_final_piece(space, Path((1, 2, 3)))
 
 
 class TestCutFinalPiece:

@@ -15,10 +15,13 @@ from treegraded.graph import (
     Graph,
     GraphError,
     Path,
+    piece_diameters,
     strict_chain,
     weak_chain,
 )
+from treegraded.coloring import ScaleSetup, build_piece_colorings
 from treegraded.oracles import bfs_dists, brute_scale_components, floyd_warshall
+from treegraded.space import InvalidSpaceError, Space
 
 from conftest import (
     chain_of_three_paths,
@@ -26,6 +29,7 @@ from conftest import (
     cycle_graph,
     path_graph,
     small_spaces,
+    two_triangles_sharing_edge,
     validated_spaces,
 )
 
@@ -185,25 +189,37 @@ class TestComposedEngine:
                 for comp in g.scale_components(members, strict_chain(r)):
                     assert g.diameter_witness(comp) == first_row_major_max(ref, sorted(comp))
 
-    def test_piece_diameters_reject_foreign_piece(self):
+    def test_piece_diameters_read_the_table_handed_in(self):
         space = chain_of_three_paths()  # pieces {0,1,2}, {2,3,4}, {4,5,6}
-        g = _validated_graph(space)
-        middle = space.pieces[1]
-        comp, diam = g.piece_diameters(middle, [0, 0, 0], max_step=1)
+        middle = space.piece_table(1)
+        comp, diam = piece_diameters(middle, [0, 0, 0], max_step=1)
         assert comp.tolist() == [0, 0, 0] and diam.tolist() == [2]
-        comp, diam = g.piece_diameters(middle, [0, -1, 0], max_step=1)
+        comp, diam = piece_diameters(middle, [0, -1, 0], max_step=1)
         assert comp.tolist() == [0, -1, 1] and diam.tolist() == [0, 0]
-        comp, diam = g.piece_diameters(middle, [0, -1, 0])
+        comp, diam = piece_diameters(middle, [0, -1, 0])
         assert comp.tolist() == [0, -1, 0] and diam.tolist() == [2]
         with pytest.raises(GraphError):  # one label per vertex of the piece
-            g.piece_diameters(middle, [0, 0])
-        with pytest.raises(GraphError):  # not a piece of the placement
-            g.piece_diameters({2, 3}, [0, 0])
-        with pytest.raises(GraphError):
-            g.piece_diameters({3, 4, 5}, [0, 0, 0])
-        # a plain graph is kept as one piece
-        comp, diam = path_graph(5).piece_diameters(range(5), [1, 1, 0, 1, 1], max_step=1)
+            piece_diameters(middle, [0, 0])
+        with pytest.raises(InvalidSpaceError):  # an invalid space keeps no table
+            two_triangles_sharing_edge().piece_table(0)
+        # a plain graph's whole table
+        comp, diam = piece_diameters(path_graph(5).dist_block(range(5)), [1, 1, 0, 1, 1], max_step=1)
         assert comp.tolist() == [1, 1, 0, 2, 2] and diam.tolist() == [0, 1, 1]
+
+    def test_spaces_sharing_a_graph_keep_their_own_tables(self):
+        # validating a second space on the same graph replaces the graph's
+        # tables; the first space still measures its pieces on its own
+        g = path_graph(7)
+        first = Space(g, [{0, 1, 2}, {2, 3, 4}, {4, 5, 6}], 0)
+        second = Space(g, [{0, 1, 2, 3}, {3, 4, 5, 6}], 0)
+        assert first.validate().ok and second.validate().ok
+        setup = ScaleSetup(r=2, n=1)
+        colorings = build_piece_colorings(first, setup)
+        assert [pc.base_component for pc in colorings.values()] == [
+            frozenset({0, 1, 2}), frozenset({2, 3, 4}), frozenset({4, 5, 6})
+        ]
+        assert piece_diameters(first.piece_table(0), [0, 0, 0])[1].tolist() == [2]
+        assert piece_diameters(second.piece_table(0), [0, 0, 0, 0])[1].tolist() == [3]
 
 
 class TestCanonicalGeodesic:
@@ -266,6 +282,30 @@ class TestBall:
             path_graph(3).ball(0, -1)
 
 
+class TestNearMask:
+    """The landing mask of check_geodesic_chain_distance: one bounded
+    multi-source BFS against the |V| x |S| block route it replaced."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(measured_graphs, st.integers(0, 7), st.data())
+    def test_mask_equals_the_block_route(self, g: Graph, radius: int, data):
+        n = g.vertex_count
+        members = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n)))
+        everyone = np.arange(n)
+        want = (g.dist_block(everyone, members).min(axis=1) <= radius) | np.isin(everyone, members)
+        assert g.near_mask(members, radius).tolist() == want.tolist()
+
+    def test_bad_queries_raise(self):
+        g = path_graph(4)
+        assert g.near_mask({0}, 0).tolist() == [True, False, False, False]
+        with pytest.raises(GraphError):
+            g.near_mask(set(), 1)
+        with pytest.raises(GraphError):
+            g.near_mask({0}, -1)
+        with pytest.raises(GraphError):
+            g.near_mask({4}, 1)
+
+
 class TestScaleComponents:
     def test_two_clusters_on_path(self):
         g = path_graph(11)
@@ -325,11 +365,11 @@ class TestPieceDiameters:
     @given(validated_spaces, st.data())
     def test_every_piece_matches_brute_force(self, space, data):
         g = space.graph
-        for piece in space.pieces:
+        for pid, piece in enumerate(space.pieces):
             verts = sorted(piece)
             labels = data.draw(st.lists(st.integers(-1, 2), min_size=len(verts), max_size=len(verts)))
             for max_step in (None, 0, 1, 2, 3, 5, 8):
-                comp, diam = g.piece_diameters(piece, labels, max_step)
+                comp, diam = piece_diameters(space.piece_table(pid), labels, max_step)
                 assert (comp.tolist(), diam.tolist()) == brute_piece_diameters(g, verts, labels, max_step)
 
     @settings(max_examples=40, deadline=None)

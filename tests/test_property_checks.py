@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treegraded import checks
+from treegraded import coloring as coloring_module
 from treegraded.assemble import color_space
 from treegraded.coloring import (
     BASE_COMPONENT_FACTOR,
@@ -26,7 +27,7 @@ from treegraded.graph import weak_chain
 from treegraded.rng import SplitMix64
 from treegraded.space import Space
 
-from conftest import path_graph, small_spaces, tripod_space, validated_spaces
+from conftest import chain_of_three_paths, path_graph, small_spaces, tripod_space, validated_spaces
 
 
 def full_cell(space, r):
@@ -139,19 +140,79 @@ class TestDegeneratePointMeets:
         assert min(g.shortest_dist(x, 3) for x in chain) > r
 
 
-class TestWitnessReporting:
-    def test_violations_carry_witnesses(self):
-        # deliberately break a coloring to see witnesses flow through
-        space = tripod_space(arm=8)
-        setup, colorings, coloring = full_cell(space, 2)
-        from treegraded.coloring import SpaceColoring
+def moved_projection(monkeypatch):
+    """Space.project answers 3, not 4, for vertex 6 and the middle piece."""
+    project = Space.project
+    monkeypatch.setattr(Space, "project", lambda self, pid, x: 3 if (pid, x) == (1, 6) else project(self, pid, x))
 
-        constant = SpaceColoring(tuple(0 for _ in coloring.colors), setup)
-        res = checks.check_in_piece_chain_distance(space, setup, cell_report(space, setup, constant))
-        # a constant coloring keeps whole arms in one component: piece diameter
-        # can exceed the bound only on long arms; with arm=8 and magnitude=2 the
-        # arm diameter 8 stays below 72, so instead check the near-projection suite
-        assert res.checked > 0
+
+def shrunk_base_components(monkeypatch):
+    """Every base component is its piece's base vertex alone."""
+    monkeypatch.setattr(coloring_module, "base_component", lambda recolored, space, pid, base, setup: (frozenset({base}), 0))
+
+
+def small_magnitude(monkeypatch):
+    """Every check reads a piece magnitude of 0, so every bound is 0."""
+    monkeypatch.setattr(ScaleSetup, "require_magnitude", lambda self: 0)
+
+
+def run_check(name, space, r=2, seed=7):
+    """One cell check at its default sample count on a fresh cell of space."""
+    ana = checks.SpaceAnalysis(space)
+    setup, colorings, coloring = full_cell(space, r)
+    rng = SplitMix64(seed)
+    if name == "chain_entry_projection":
+        return checks.check_chain_entry_projection(ana, r, rng)
+    if name == "trace_shape":
+        return checks.check_trace_shape(ana, setup, colorings, rng)
+    report = cell_report(space, setup, coloring)
+    return checks.check_geodesic_chain_distance(ana, setup, colorings, coloring, report, rng)
+
+
+# fault, the check that must report it on chain_of_three_paths() (a 7-vertex
+# path cut into pieces {0,1,2}, {2,3,4}, {4,5,6}), its count of hits (kept and
+# suppressed), and its first witness
+FAULTS = [
+    pytest.param(
+        moved_projection,
+        "chain_entry_projection",
+        27,
+        {"piece": 1, "chain": [6, 5, 6, 4, 4, 4, 2, 4, 6, 4, 2, 1], "expected_endpoints": (4, 2), "projections": (3, 2)},
+        id="moved-projection-chain-entry",
+    ),
+    pytest.param(
+        moved_projection,
+        "trace_shape",
+        1,
+        {"vertex": 6, "piece": 1, "reason": "exit is not the projection", "exit": 4, "projection": 3},
+        id="moved-projection-trace",
+    ),
+    pytest.param(
+        shrunk_base_components,
+        "trace_shape",
+        12,
+        {"vertex": 1, "piece": 0, "reason": "long run too short", "length": 1},
+        id="shrunk-base-component-trace",
+    ),
+    pytest.param(
+        small_magnitude,
+        "geodesic_chain_distance",
+        21,
+        {"vertex": 1, "landing": 0, "distance": 1, "bound": 0},
+        id="small-magnitude-geodesic-chain",
+    ),
+]
+
+
+class TestWitnessReporting:
+    @pytest.mark.parametrize("fault, name, hits, first", FAULTS)
+    def test_faults_are_reported(self, monkeypatch, fault, name, hits, first):
+        # the same inputs report nothing until the fault is patched in
+        assert run_check(name, chain_of_three_paths()).to_dict()["violations"] == []
+        fault(monkeypatch)
+        res = run_check(name, chain_of_three_paths())
+        assert res.violations[0] == first
+        assert len(res.violations) + res.info.get("suppressed", 0) == hits
 
     def test_broken_color_transfer_detected(self):
         # three long path pieces in a chain: vertex 25 sits one step past piece
@@ -175,6 +236,56 @@ class TestWitnessReporting:
         )
         assert not broken.ok
         assert all("vertex" in w and "projection" in w for w in broken.violations)
+
+
+def scalar_weak_chain(g, r, rng):
+    """The chain sampler as it read the row of every point it steps from:
+    the reference for checks._random_weak_chain."""
+    cur = rng.randint(0, g.vertex_count - 1)
+    chain = [cur]
+    for _ in range(rng.randint(2, 12)):
+        near = np.nonzero(g.dist_row(cur) <= r)[0]
+        cur = int(near[rng.randint(0, len(near) - 1)])
+        chain.append(cur)
+    return chain
+
+
+class TestChainSampler:
+    @settings(max_examples=40, deadline=None)
+    @given(validated_spaces, st.integers(2, 8), st.integers(0, 2**64 - 1))
+    def test_ball_sampler_draws_the_scalar_chains(self, space, r, seed):
+        ana = checks.SpaceAnalysis(space)
+        rng, ref = SplitMix64(seed), SplitMix64(seed)
+        balls = {}
+        chains = [checks._random_weak_chain(ana, r, rng, balls) for _ in range(50)]
+        assert chains == [scalar_weak_chain(space.graph, r, ref) for _ in range(50)]
+        assert rng.next_u64() == ref.next_u64()  # the same state after 50 chains
+        assert all(balls[v].tolist() == sorted(space.graph.ball(v, r)) for v in balls)
+
+
+class TestLandingMask:
+    @settings(max_examples=30, deadline=None)
+    @given(validated_spaces, st.integers(2, 6))
+    def test_mask_equals_the_block_route_on_every_geodesic(self, space, r):
+        # the landing points of check_geodesic_chain_distance, found on one
+        # near_mask per component, against the |gamma| x |C| block and isin
+        # it replaced, for every target of one cell
+        g = space.graph
+        setup, colorings, coloring = full_cell(space, r)
+        report = cell_report(space, setup, coloring)
+        comps = [comp for parts in report.components.values() for comp in parts]
+        labels = report.component_labels
+        for x in range(g.vertex_count):  # the labels name the part the old route searched for
+            assert comps[labels[x]] == next(p for p in report.components[coloring[x]] if x in p)
+        max_step = setup.chain.max_step
+        masks = {}
+        for x in range(g.vertex_count):
+            gamma = np.asarray(checks.trace(space, setup, colorings, x).gamma.vertices)
+            comp = np.asarray(sorted(comps[labels[x]]))
+            old = np.isin(gamma, comp) | (g.dist_block(gamma, comp).min(axis=1) <= max_step)
+            k = labels.item(x)
+            mask = masks.setdefault(k, g.near_mask(comps[k], max_step))
+            assert mask[gamma].tolist() == old.tolist()
 
 
 def ambient_in_piece_hits(space, setup, colorings, coloring):
