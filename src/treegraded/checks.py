@@ -52,7 +52,7 @@ from .coloring import (
     ScaleSetup,
     SpaceColoring,
 )
-from .graph import Graph, piece_diameters, weak_chain
+from .graph import _BLOCK_ENTRIES, Graph, piece_diameters, weak_chain
 from .rng import SplitMix64
 from .space import Space
 
@@ -208,22 +208,53 @@ def check_projection_stability(ana: SpaceAnalysis, rng: SplitMix64, samples: int
     return res
 
 
-def _random_weak_chain(ana: SpaceAnalysis, r: int, rng: SplitMix64, balls: dict[int, np.ndarray]) -> list[int]:
-    """A random weak r-chain: a uniform start, then 2 to 12 steps, each to a
-    uniform member of the current point's r-ball in ascending order. balls
-    holds the r-ball of every point stepped from so far, and gains the new
-    ones."""
-    g = ana.space.graph
-    cur = rng.randint(0, g.vertex_count - 1)
-    chain = [cur]
-    for _ in range(rng.randint(2, 12)):
-        near = balls.get(cur)
-        if near is None:
-            # int32 halves what the balls hold while the check runs
-            near = balls[cur] = np.flatnonzero(g.dist_row(cur) <= r).astype(np.int32)
-        cur = near.item(rng.randint(0, near.size - 1))
-        chain.append(cur)
-    return chain
+def _weak_chains(
+    g: Graph, r: int, rng: SplitMix64, samples: int
+) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """samples random weak r-chains, drawn in lockstep: chain c is points[c,
+    : steps[c] + 1], and the r-balls stepped from come back as one CSR,
+    (members, start, count), the ball of v being members[start[v] : start[v]
+    + count[v]] in ascending order (start[v] = -1: no ball built).
+
+    Chain c is a uniform start, then 2 to 12 steps, each to a uniform member
+    of the current point's r-ball. Drawn one at a time, it takes 2 + steps[c]
+    randint draws (start, step count, one per step), each one raw output; so
+    the 14 * samples outputs ahead are peeked, one pass over the step counts
+    finds where each chain's draws begin, and the generator skips exactly
+    the draws used. Round t then moves every chain with more than t steps
+    on, after building, a block of rows at a time, the balls of the points
+    that lack one: the same rows the scalar draws read."""
+    n = g.vertex_count
+    raw = rng.peek(14 * samples)
+    first, steps = [], []  # per chain: where its draws begin, its step count
+    at = 0
+    for _ in range(samples):
+        k = 2 + raw.item(at + 1) % 11
+        first.append(at)
+        steps.append(k)
+        at += 2 + k
+    rng.skip(at)
+    first, steps = np.array(first, dtype=np.int64), np.array(steps, dtype=np.int64)
+    points = np.zeros((samples, 13), dtype=np.int64)
+    points[:, 0] = raw[first] % np.uint64(n)
+    members = np.empty(0, dtype=np.int32)  # int32 halves what the balls hold
+    start = np.full(n, -1, dtype=np.int64)
+    count = np.zeros(n, dtype=np.uint64)  # uint64, like the raw draws it reduces
+    height = max(1, _BLOCK_ENTRIES // n)
+    for t in range(12):
+        live = np.flatnonzero(steps > t)
+        here = points[live, t]
+        need = np.unique(here[start[here] < 0])
+        for lo in range(0, need.size, height):
+            block = need[lo : lo + height]
+            rows, cols = np.nonzero(g.dist_block(block) <= r)
+            sizes = np.bincount(rows, minlength=block.size)
+            start[block] = members.size + np.cumsum(sizes) - sizes
+            count[block] = sizes
+            members = np.concatenate([members, cols.astype(np.int32)])
+        pick = raw[first[live] + 2 + t] % count[here]
+        points[live, t + 1] = members[start[here] + pick.astype(np.int64)]
+    return points, steps, (members, start, count)
 
 
 def check_chain_entry_projection(
@@ -238,40 +269,54 @@ def check_chain_entry_projection(
     route around it and the claim genuinely fails; it is provable, and used,
     only for edge-crossings, where the entry vertex separates the chain's
     start from its end.
+
+    Each stage runs once over all the chains. They are drawn in lockstep
+    (_weak_chains), and the generator ends where drawing them one at a time
+    would leave it. Each chain's canonical geodesic is cut into its piece
+    runs (decompose_path). Then every run is tested at once: the projections
+    of every chain point onto its run's piece are gathered from proj_array,
+    one dist_pairs reads how far the points that project onto the entry lie
+    from it, and violations are reported in (chain, run) order.
     """
     res = CheckResult("chain_entry_projection")
     res.info["chains_sampled"] = samples
     space = ana.space
     g = space.graph
-    balls: dict[int, np.ndarray] = {}  # for this call only, so no cell keeps them
-    for _ in range(samples):
-        chain = _random_weak_chain(ana, r, rng, balls)
-        x0, xm = chain[0], chain[-1]
+    points, steps, _ = _weak_chains(g, r, rng, samples)
+    runs: list[tuple[int, int, int, int]] = []  # (chain, piece, entry vertex, exit vertex)
+    for c, (x0, xm) in enumerate(zip(points[:, 0].tolist(), points[np.arange(samples), steps].tolist())):
         omega = g.canonical_geodesic(x0, xm)
-        met: list[tuple[int, int, int]] = []  # (piece, entry vertex, exit vertex)
         if omega.length:
-            for pid, i, j in decompose_path(space, omega):
-                met.append((pid, omega[i], omega[j]))
-        for pid, entry, exit_vertex in met:
-            res.checked += 1
-            proj = ana.proj_array(pid)
-            if int(proj[x0]) != entry or int(proj[xm]) != exit_vertex:
-                res.hit(
-                    {
-                        "piece": pid,
-                        "chain": chain,
-                        "expected_endpoints": (entry, exit_vertex),
-                        "projections": (int(proj[x0]), int(proj[xm])),
-                    }
-                )
-                continue
-            found = False
-            for xk in chain:
-                if int(proj[xk]) == entry and g.shortest_dist(xk, entry) <= r:
-                    found = True
-                    break
-            if not found:
-                res.hit({"piece": pid, "chain": chain, "entry": entry})
+            runs += [(c, pid, omega[i], omega[j]) for pid, i, j in decompose_path(space, omega)]
+    res.checked += len(runs)
+    if not runs:
+        return res
+    which, pids, entry, exit_vertex = np.array(runs, dtype=np.int64).T
+    # each run's chain points (past the last, vertex 0, masked off below) and their projections
+    pts, last = points[which], steps[which]
+    proj = np.empty_like(pts)
+    for pid in np.unique(pids).tolist():
+        at = pids == pid
+        proj[at] = ana.proj_array(pid)[pts[at]]
+    ends_ok = (proj[:, 0] == entry) & (proj[np.arange(len(runs)), last] == exit_vertex)
+    on_entry = (proj == entry[:, None]) & (np.arange(pts.shape[1]) <= last[:, None]) & ends_ok[:, None]
+    i, k = np.nonzero(on_entry)
+    found = np.zeros(len(runs), dtype=bool)
+    found[i[g.dist_pairs(pts[i, k], entry[i]) <= r]] = True
+    for q in np.flatnonzero(~found).tolist():
+        c, pid, a, b = runs[q]
+        chain = points[c, : steps.item(c) + 1].tolist()
+        if ends_ok[q]:
+            res.hit({"piece": pid, "chain": chain, "entry": a})
+        else:
+            res.hit(
+                {
+                    "piece": pid,
+                    "chain": chain,
+                    "expected_endpoints": (a, b),
+                    "projections": (proj.item(q, 0), proj.item(q, last.item(q))),
+                }
+            )
     return res
 
 
@@ -530,7 +575,6 @@ def check_geodesic_chain_distance(
     ana: SpaceAnalysis,
     setup: ScaleSetup,
     colorings: Mapping[int, PieceColoring],
-    coloring: SpaceColoring,
     report: MagnitudeReport,
     rng: SplitMix64,
     samples: int = 48,
@@ -539,8 +583,8 @@ def check_geodesic_chain_distance(
     when no long run strictly straddles the landing point, the landing point is
     within 140x the piece magnitude.
 
-    The components are those of report, the magnitude_report of coloring at
-    setup.chain."""
+    The components are those of report, the magnitude_report of the cell's
+    coloring at setup.chain."""
     res = CheckResult("geodesic_chain_distance")
     space = ana.space
     g = space.graph
@@ -613,5 +657,5 @@ def cell_suite(
         check_near_projection_color(ana, setup, colorings, coloring),
         check_projected_chain_color(ana, setup, colorings, coloring),
         check_in_piece_chain_distance(ana.space, setup, report),
-        check_geodesic_chain_distance(ana, setup, colorings, coloring, report, rng, geodesic_chain_samples),
+        check_geodesic_chain_distance(ana, setup, colorings, report, rng, geodesic_chain_samples),
     ]

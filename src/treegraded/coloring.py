@@ -27,12 +27,13 @@ Everything measured inside one piece is therefore read from that piece's
 table. The distances that place a piece's colors (band distances from the
 root of a tree piece, the path of a one-row brick piece, the recolored 2r-ball
 around the base vertex) are rows of it, read by Space.piece_dist_from; shapes
-are found from the graph's adjacency restricted to the piece. Measurement
+are found from the graph's adjacency restricted to the piece. The magnitude
+of a raw piece coloring (compute_piece_magnitude, certify_piece_colorings)
 takes one piece_diameters pass over the table the space keeps for the piece
-(Space.piece_table): the magnitude of a raw piece coloring
-(compute_piece_magnitude, certify_piece_colorings), and the base component,
-the chain component of the base vertex among the piece's color-0 vertices,
-with its diameter. These require a valid space. magnitude_report measures
+(Space.piece_table). The base component, the chain component of the base
+vertex among the piece's color-0 vertices, comes from a frontier search of
+that table from the base vertex, and its diameter from the block of its
+members. These require a valid space. magnitude_report measures
 any coloring of the whole graph: one scale_components search per color
 class, then Graph.diameters, which reads the components inside one piece
 from that piece's table, and one diameter_witness call per color for the
@@ -55,7 +56,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .graph import ChainPredicate, Graph, piece_diameters
+from .graph import _BLOCK_ENTRIES, ChainPredicate, Graph, piece_diameters
 from .space import Space
 
 PERIOD_FACTOR = 99  # color period = PERIOD_FACTOR * piece magnitude
@@ -510,15 +511,29 @@ def base_component(
     chained with piece-internal distances, and its diameter.
 
     Read from the piece's own distance table, which a valid space keeps: only
-    then is the piece convex and its table exact."""
+    then is the piece convex and its table exact. A frontier search from the
+    base vertex reads the rows of the component's members alone, then the
+    diameter is the largest entry among them; both read at most
+    _BLOCK_ENTRIES / 2 entries at a time, as piece_diameters does."""
     table = space.piece_table(pid)
     if recolored[base] != 0:
         raise ValueError(f"base vertex {base} of piece {pid} is not color 0")
     verts = sorted(space.pieces[pid])
-    zero = [0 if recolored[v] == 0 else -1 for v in verts]
-    comp, diams = piece_diameters(table, zero, setup.chain.max_step)
-    mine = comp[verts.index(base)]
-    return frozenset(v for v, k in zip(verts, comp.tolist()) if k == mine), int(diams[mine])
+    unreached = np.array([recolored[v] == 0 for v in verts])  # color 0, not yet in the component
+    height = max(1, _BLOCK_ENTRIES // (2 * len(verts)))
+    frontier = np.array([verts.index(base)])
+    unreached[frontier] = False
+    comp = [frontier]
+    while frontier.size:
+        near = np.zeros(len(verts), dtype=bool)
+        for lo in range(0, frontier.size, height):
+            near |= (table[frontier[lo : lo + height]] <= setup.chain.max_step).any(axis=0)
+        frontier = np.flatnonzero(near & unreached)
+        unreached[frontier] = False
+        comp.append(frontier)
+    comp = np.sort(np.concatenate(comp))
+    diameter = max(int(table[np.ix_(comp[lo : lo + height], comp)].max()) for lo in range(0, comp.size, height))
+    return frozenset(verts[i] for i in comp.tolist()), diameter
 
 
 def finalize_piece_coloring(

@@ -1,4 +1,4 @@
-"""Graph metric primitives: distances, canonical geodesics, balls, scale components.
+"""Graph metric primitives: distances, canonical geodesics, near masks, scale components.
 
 Graphs are finite, connected, undirected, with unit-length edges, so every
 distance is an exact integer. Scale-r chains come in two flavors captured by
@@ -581,14 +581,19 @@ class Graph:
 
     def canonical_geodesic(self, u: int, v: int) -> Path:
         """Deterministic shortest path: walking back from v, always step to the
-        smallest-id neighbor one unit closer to u (BFS smallest-parent rule)."""
+        smallest-id neighbor one unit closer to u (BFS smallest-parent rule).
+        Each adjacency tuple is sorted, so that neighbor is the first one found
+        at the next distance down."""
         self.check_vertex(v)
         row = self.dist_row(u)
+        adj = self.adj
         verts = [v]
         cur = v
-        while cur != u:
-            target = row[cur] - 1
-            cur = min(w for w in self.adj[cur] if row[w] == target)
+        for d in range(row.item(v) - 1, -1, -1):
+            for w in adj[cur]:
+                if row.item(w) == d:
+                    break
+            cur = w
             verts.append(cur)
         verts.reverse()
         return Path(tuple(verts))
@@ -608,19 +613,6 @@ class Graph:
         np.minimum.at(parents, far[closer], near[closer])
         parents[root] = -1
         return parents
-
-    def ball(self, center: int, radius: int) -> frozenset[int]:
-        """Closed ball: all v with d(center, v) <= radius."""
-        if radius < 0:
-            raise GraphError("radius must be non-negative")
-        row = self.dist_row(center)
-        return frozenset(int(v) for v in np.nonzero(row <= radius)[0])
-
-    def is_path(self, path: Path) -> bool:
-        return all(
-            normalize_edge(a, b) in self.edges
-            for a, b in zip(path.vertices, path.vertices[1:])
-        )
 
     def set_diameter(self, subset: Iterable[int]) -> int:
         return self.diameter_witness(subset)[0]

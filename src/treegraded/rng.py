@@ -11,10 +11,13 @@ delegating to a runtime's default RNG:
     output = z XOR (z >> 31)
 
 Bounded draws use plain modulo reduction (the tiny bias is irrelevant here;
-reproducibility is what matters). Since randint reduces the raw output by its
-range, the raw stream does not depend on the ranges: randint_block computes a
-run of it at once in numpy uint64, whose arithmetic wraps mod 2^64 like the
-recurrence, and reduces each draw by its own range afterwards.
+reproducibility is what matters). Each randint consumes exactly one raw
+output and reduces it by its range, so the raw stream does not depend on the
+ranges: peek computes a run of it at once in numpy uint64, whose arithmetic
+wraps mod 2^64 like the recurrence, without moving the state, and skip moves
+the state past any number of outputs. randint_block is peek, a reduction of
+each draw by its own range, and skip; a caller whose ranges depend on earlier
+draws peeks ahead, reduces what it uses, and skips exactly that many.
 """
 
 from __future__ import annotations
@@ -56,17 +59,25 @@ class SplitMix64:
         lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=np.uint64), np.asarray(hi, dtype=np.uint64))
         if (hi < lo).any():
             raise ValueError("empty range in block draw")
-        count = lo.size
+        z = self.peek(lo.size).reshape(lo.shape)
+        self.skip(lo.size)
+        with np.errstate(over="ignore"):
+            span = hi - lo + np.uint64(1)  # 0 for the full range [0, 2^64)
+        full = span == 0
+        return lo + np.where(full, z, z % np.where(full, 1, span))
+
+    def peek(self, count: int) -> np.ndarray:
+        """The next count raw outputs, as a uint64 array; the state does not move."""
         with np.errstate(over="ignore"):
             z = np.uint64(self._state) + np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_GAMMA)
             z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
             z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
             z ^= z >> np.uint64(31)
-            span = hi - lo + np.uint64(1)  # 0 for the full range [0, 2^64)
+        return z
+
+    def skip(self, count: int):
+        """Move the state past the next count raw outputs, as count next_u64 calls would."""
         self._state = (self._state + count * _GAMMA) & _MASK
-        full = span == 0
-        z = z.reshape(lo.shape)
-        return lo + np.where(full, z, z % np.where(full, 1, span))
 
     def choice(self, seq: Sequence[T]) -> T:
         if not seq:
@@ -85,7 +96,3 @@ class SplitMix64:
             if pick <= acc:
                 return i
         raise AssertionError("unreachable")
-
-    def fork(self, salt: int) -> "SplitMix64":
-        """Independent child stream; used to decorrelate per-instance draws."""
-        return SplitMix64(self.next_u64() ^ (salt * _GAMMA) & _MASK)

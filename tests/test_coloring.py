@@ -40,7 +40,7 @@ from treegraded.forge import (
     gen_random,
     subdivide_space,
 )
-from treegraded.graph import _BLOCK_ENTRIES, ChainPredicate, Graph, strict_chain, weak_chain
+from treegraded.graph import _BLOCK_ENTRIES, ChainPredicate, Graph, piece_diameters, strict_chain, weak_chain
 from treegraded.oracles import brute_magnitude, brute_scale_components, brute_set_diameter
 from treegraded.space import Space
 
@@ -288,8 +288,32 @@ def assert_base_components_match_piece_oracle(space: Space, r: int, mode: str, s
             assert got == (frozenset(piece[i] for i in want), brute_set_diameter(inside, want)), (pid, r, mode)
 
 
+def table_pass_base_component(recolored, space: Space, pid: int, base: int, setup: ScaleSetup):
+    """base_component as one piece_diameters pass over every color-0
+    component of the piece: the reference for the frontier search."""
+    verts = sorted(space.pieces[pid])
+    zero = [0 if recolored[v] == 0 else -1 for v in verts]
+    comp, diams = piece_diameters(space.piece_table(pid), zero, setup.chain.max_step)
+    mine = comp[verts.index(base)]
+    return frozenset(v for v, k in zip(verts, comp.tolist()) if k == mine), int(diams[mine])
+
+
 class TestBaseComponentRoute:
     chain = st.tuples(st.integers(min_value=2, max_value=8), st.sampled_from(["strict", "weak"]))
+
+    @settings(max_examples=20, deadline=None)
+    @given(validated_spaces, st.sampled_from(["strict", "weak"]), st.integers(min_value=0, max_value=2**32))
+    def test_search_equals_the_table_pass(self, space, mode, seed):
+        # the pipeline's recoloring and a random one, at every r from 2 to 8
+        rnd = random.Random(seed)
+        for r in range(2, 9):
+            setup = ScaleSetup(r=r, n=natural_color_count(space), chain_mode=mode)
+            for pid, pc in build_piece_colorings(space, setup).items():
+                base = pc.basepoint
+                random_zero = {v: 0 if v == base else rnd.randint(0, 1) for v in sorted(space.pieces[pid])}
+                for colors in (pc.recolored, random_zero):
+                    want = table_pass_base_component(colors, space, pid, base, setup)
+                    assert base_component(colors, space, pid, base, setup) == want, (pid, r)
 
     @settings(max_examples=30, deadline=None)
     @given(small_spaces(), chain, st.integers(min_value=0, max_value=2**32))

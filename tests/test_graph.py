@@ -222,6 +222,19 @@ class TestComposedEngine:
         assert piece_diameters(second.piece_table(0), [0, 0, 0, 0])[1].tolist() == [3]
 
 
+def min_walk_geodesic(g: Graph, u: int, v: int) -> tuple[int, ...]:
+    """canonical_geodesic as it stepped to the min() of the neighbors one unit
+    closer to u: the reference for the walk over sorted adjacency."""
+    row = g.dist_row(u)
+    verts = [v]
+    cur = v
+    while cur != u:
+        target = row[cur] - 1
+        cur = min(w for w in g.adj[cur] if row[w] == target)
+        verts.append(cur)
+    return tuple(reversed(verts))
+
+
 class TestCanonicalGeodesic:
     def test_unique_geodesic_on_path(self):
         assert path_graph(4).canonical_geodesic(0, 3).vertices == (0, 1, 2, 3)
@@ -241,7 +254,14 @@ class TestCanonicalGeodesic:
         p2 = g.canonical_geodesic(u, v)
         assert p1 == p2
         assert p1.length == g.shortest_dist(u, v)
-        assert g.is_path(p1) or p1.length == 0
+        assert all((min(a, b), max(a, b)) in g.edges for a, b in zip(p1.vertices, p1.vertices[1:]))
+
+    @settings(max_examples=40, deadline=None)
+    @given(connected_graphs(max_n=20))
+    def test_walk_equals_the_min_walk(self, g: Graph):
+        for u in range(g.vertex_count):
+            for v in range(g.vertex_count):
+                assert g.canonical_geodesic(u, v).vertices == min_walk_geodesic(g, u, v)
 
     @settings(max_examples=30, deadline=None)
     @given(small_spaces(), st.data())
@@ -265,21 +285,6 @@ class TestCanonicalGeodesic:
                 assert parents[v] == -1
             else:
                 assert parents[v] == path.vertices[-2]
-
-
-class TestBall:
-    def test_radius_zero(self):
-        assert path_graph(5).ball(3, 0) == {3}
-
-    def test_path_prefix(self):
-        assert path_graph(11).ball(0, 4) == {0, 1, 2, 3, 4}
-
-    def test_six_cycle(self):
-        assert cycle_graph(6).ball(0, 2) == {0, 1, 2, 4, 5}
-
-    def test_negative_radius(self):
-        with pytest.raises(GraphError):
-            path_graph(3).ball(0, -1)
 
 
 class TestNearMask:

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from treegraded import checks
 from treegraded import coloring as coloring_module
-from treegraded.assemble import color_space
+from treegraded.assemble import color_space, decompose_path
 from treegraded.coloring import (
     BASE_COMPONENT_FACTOR,
     ScaleSetup,
@@ -23,7 +23,8 @@ from treegraded.coloring import (
     natural_color_count,
 )
 from treegraded.forge import PieceTemplate, gen_free_product_model
-from treegraded.graph import weak_chain
+from treegraded.graph import Graph, weak_chain
+from treegraded.oracles import bfs_dists
 from treegraded.rng import SplitMix64
 from treegraded.space import Space
 
@@ -166,7 +167,7 @@ def run_check(name, space, r=2, seed=7):
     if name == "trace_shape":
         return checks.check_trace_shape(ana, setup, colorings, rng)
     report = cell_report(space, setup, coloring)
-    return checks.check_geodesic_chain_distance(ana, setup, colorings, coloring, report, rng)
+    return checks.check_geodesic_chain_distance(ana, setup, colorings, report, rng)
 
 
 # fault, the check that must report it on chain_of_three_paths() (a 7-vertex
@@ -240,7 +241,7 @@ class TestWitnessReporting:
 
 def scalar_weak_chain(g, r, rng):
     """The chain sampler as it read the row of every point it steps from:
-    the reference for checks._random_weak_chain."""
+    the reference for checks._weak_chains."""
     cur = rng.randint(0, g.vertex_count - 1)
     chain = [cur]
     for _ in range(rng.randint(2, 12)):
@@ -250,17 +251,104 @@ def scalar_weak_chain(g, r, rng):
     return chain
 
 
+def lockstep_chains(g, r, rng, samples):
+    """The chains of checks._weak_chains as lists, and its balls."""
+    points, steps, balls = checks._weak_chains(g, r, rng, samples)
+    return [points[c, : k + 1].tolist() for c, k in enumerate(steps.tolist())], balls
+
+
+def scalar_chain_entry_projection(ana, r, rng, samples=250):
+    """check_chain_entry_projection as it drew, walked and tested one chain
+    at a time: the reference for the lockstep check."""
+    res = checks.CheckResult("chain_entry_projection")
+    res.info["chains_sampled"] = samples
+    space = ana.space
+    g = space.graph
+    for _ in range(samples):
+        chain = scalar_weak_chain(g, r, rng)
+        x0, xm = chain[0], chain[-1]
+        omega = g.canonical_geodesic(x0, xm)
+        met = [(pid, omega[i], omega[j]) for pid, i, j in decompose_path(space, omega)] if omega.length else []
+        for pid, entry, exit_vertex in met:
+            res.checked += 1
+            proj = ana.proj_array(pid)
+            if int(proj[x0]) != entry or int(proj[xm]) != exit_vertex:
+                res.hit(
+                    {
+                        "piece": pid,
+                        "chain": chain,
+                        "expected_endpoints": (entry, exit_vertex),
+                        "projections": (int(proj[x0]), int(proj[xm])),
+                    }
+                )
+                continue
+            if not any(int(proj[xk]) == entry and g.shortest_dist(xk, entry) <= r for xk in chain):
+                res.hit({"piece": pid, "chain": chain, "entry": entry})
+    return res
+
+
 class TestChainSampler:
     @settings(max_examples=40, deadline=None)
     @given(validated_spaces, st.integers(2, 8), st.integers(0, 2**64 - 1))
-    def test_ball_sampler_draws_the_scalar_chains(self, space, r, seed):
-        ana = checks.SpaceAnalysis(space)
+    def test_lockstep_sampler_draws_the_scalar_chains(self, space, r, seed):
+        g = space.graph
         rng, ref = SplitMix64(seed), SplitMix64(seed)
-        balls = {}
-        chains = [checks._random_weak_chain(ana, r, rng, balls) for _ in range(50)]
-        assert chains == [scalar_weak_chain(space.graph, r, ref) for _ in range(50)]
+        chains, (members, start, count) = lockstep_chains(g, r, rng, 50)
+        assert chains == [scalar_weak_chain(g, r, ref) for _ in range(50)]
         assert rng.next_u64() == ref.next_u64()  # the same state after 50 chains
-        assert all(balls[v].tolist() == sorted(space.graph.ball(v, r)) for v in balls)
+        # a ball for each point stepped from, holding what BFS puts within r
+        held = np.flatnonzero(start >= 0).tolist()
+        assert held == sorted({v for chain in chains for v in chain[:-1]})
+        for v in held:
+            ball = members[start.item(v) : start.item(v) + count.item(v)].tolist()
+            assert ball == [w for w, d in enumerate(bfs_dists(g, v)) if d <= r]
+
+    def test_no_chains_and_one_vertex(self):
+        rng, ref = SplitMix64(5), SplitMix64(5)
+        assert lockstep_chains(path_graph(4), 2, rng, 0)[0] == []
+        assert rng.next_u64() == ref.next_u64()  # no draw was used
+        point = Graph(1, [])
+        chains, _ = lockstep_chains(point, 2, rng, 50)
+        assert chains == [scalar_weak_chain(point, 2, ref) for _ in range(50)]
+        assert rng.next_u64() == ref.next_u64()
+
+
+def assert_check_equals_the_scalar_check(space, r, seed, pid=0, center=0, radius=-1, to=0, samples=250):
+    """The lockstep and the scalar check agree, results and generator state,
+    with the projections onto piece pid of the radius-ball around center
+    moved to to, as in FAULTS (radius -1: none moved)."""
+    moved = {x: to for x, d in enumerate(bfs_dists(space.graph, center)) if d <= radius}
+    project = Space.project
+
+    def moved_project(self, p, x):
+        return moved[x] if p == pid and x in moved else project(self, p, x)
+
+    rng, ref = SplitMix64(seed), SplitMix64(seed)
+    with mock.patch.object(Space, "project", moved_project):
+        got = checks.check_chain_entry_projection(checks.SpaceAnalysis(space), r, rng, samples)
+        want = scalar_chain_entry_projection(checks.SpaceAnalysis(space), r, ref, samples)
+    assert got.to_dict() == want.to_dict()
+    assert rng.next_u64() == ref.next_u64()
+    return got
+
+
+class TestChainEntryLockstep:
+    @settings(max_examples=30, deadline=None)
+    @given(validated_spaces, st.integers(2, 8), st.integers(0, 2**64 - 1), st.data())
+    def test_check_equals_the_scalar_check(self, space, r, seed, data):
+        pid = data.draw(st.integers(0, len(space.pieces) - 1))
+        center, to = data.draw(st.lists(st.sampled_from(sorted(space.pieces[pid])), min_size=2, max_size=2))
+        radius = data.draw(st.sampled_from([-1, r - 1, r]))
+        assert_check_equals_the_scalar_check(space, r, seed, pid, center, radius, to, samples=120)
+
+    def test_both_kinds_of_violation_come_out_in_order(self):
+        # a path in three long pieces; the projections onto the middle piece
+        # of the 1-ball around its entry 10 moved to 15, so that chain points
+        # at distance exactly r from the entry are what is left to find
+        space = Space(path_graph(31), [set(range(0, 11)), set(range(10, 21)), set(range(20, 31))], 0)
+        got = assert_check_equals_the_scalar_check(space, 2, 2, pid=1, center=10, radius=1, to=15)
+        assert {"entry", "expected_endpoints"} <= {key for w in got.violations for key in w}
+        assert got.info["suppressed"] > 0
 
 
 class TestLandingMask:

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treegraded.rng import SplitMix64
 
@@ -73,7 +75,15 @@ def test_choice_and_weighted_index():
         rng.choice([])
 
 
-def test_fork_diverges_from_parent():
-    rng = SplitMix64(3)
-    child = rng.fork(1)
-    assert [child.next_u64() for _ in range(4)] != [rng.next_u64() for _ in range(4)]
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**64 - 1), st.integers(0, 60))
+def test_peek_and_skip_match_scalar_outputs(seed, count):
+    rng, scalar = SplitMix64(seed), SplitMix64(seed)
+    ahead = rng.peek(count)
+    assert ahead.dtype == np.uint64 and ahead.shape == (count,)
+    assert rng.peek(count).tolist() == ahead.tolist()  # peeking moves nothing
+    assert ahead.tolist() == [scalar.next_u64() for _ in range(count)]
+    rng.skip(count)
+    assert rng.next_u64() == scalar.next_u64()
+    rng.skip(0)
+    assert rng.next_u64() == scalar.next_u64()
