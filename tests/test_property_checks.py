@@ -141,10 +141,14 @@ class TestDegeneratePointMeets:
         assert min(g.shortest_dist(x, 3) for x in chain) > r
 
 
-def moved_projection(monkeypatch):
-    """Space.project answers 3, not 4, for vertex 6 and the middle piece."""
-    project = Space.project
-    monkeypatch.setattr(Space, "project", lambda self, pid, x: 3 if (pid, x) == (1, 6) else project(self, pid, x))
+def moved_projection(to):
+    """The fault: Space.project answers to, not 4, for vertex 6 and the middle piece."""
+
+    def fault(monkeypatch):
+        project = Space.project
+        monkeypatch.setattr(Space, "project", lambda self, pid, x: to if (pid, x) == (1, 6) else project(self, pid, x))
+
+    return fault
 
 
 def shrunk_base_components(monkeypatch):
@@ -157,33 +161,99 @@ def small_magnitude(monkeypatch):
     monkeypatch.setattr(ScaleSetup, "require_magnitude", lambda self: 0)
 
 
+def flipped_tail_color(monkeypatch):
+    """The assembled coloring flips the colour of vertex 30, the tail of
+    cycle_with_tail(), which hangs off the cycle at vertex 16."""
+    assemble = color_space
+
+    def flipped(space, setup, colorings):
+        colors = list(assemble(space, setup, colorings).colors)
+        colors[30] = (colors[30] + 1) % setup.colors
+        return SpaceColoring(tuple(colors), setup)
+
+    monkeypatch.setitem(globals(), "color_space", flipped)
+
+
+def cycle_with_tail() -> Space:
+    """A 30-cycle piece with an edge piece {16, 30} hanging off it, based at 0.
+
+    At r = 3 the cycle's colour-0 vertices outside its base component lie at
+    positions 12-14 and 18-20, more than r apart, with 15-17 coloured 1 between
+    them; the tail vertex 30 lies within r of positions 14 and 18. The vertices
+    at positions 12, 13, 14 and 18 are numbered 14, 18, 12 and 13, so the first
+    pair projected_chain_color tries, (12, 13), runs from position 14 to 18."""
+    order = list(range(30))
+    order[12:15], order[18] = [14, 18, 12], 13
+    edges = [(order[i], order[(i + 1) % 30]) for i in range(30)] + [(16, 30)]
+    return Space(Graph(31, edges), [set(range(30)), {16, 30}], 0)
+
+
 def run_check(name, space, r=2, seed=7):
-    """One cell check at its default sample count on a fresh cell of space."""
+    """One check at its default sample count on a fresh analysis of space
+    (and, for a cell check, a fresh cell at r)."""
     ana = checks.SpaceAnalysis(space)
-    setup, colorings, coloring = full_cell(space, r)
     rng = SplitMix64(seed)
+    if name == "projection_uniqueness":
+        return checks.check_projection_uniqueness(ana)
+    if name == "projection_lipschitz":
+        return checks.check_projection_lipschitz(ana)
+    if name == "projection_stability":
+        return checks.check_projection_stability(ana, rng)
+    setup, colorings, coloring = full_cell(space, r)
     if name == "chain_entry_projection":
         return checks.check_chain_entry_projection(ana, r, rng)
     if name == "trace_shape":
         return checks.check_trace_shape(ana, setup, colorings, rng)
+    if name == "projected_chain_color":
+        return checks.check_projected_chain_color(ana, setup, colorings, coloring)
     report = cell_report(space, setup, coloring)
     return checks.check_geodesic_chain_distance(ana, setup, colorings, report, rng)
 
 
-# fault, the check that must report it on chain_of_three_paths() (a 7-vertex
-# path cut into pieces {0,1,2}, {2,3,4}, {4,5,6}), its count of hits (kept and
-# suppressed), and its first witness
+# the spaces the faults go into, each with the scale its cells use:
+# chain_of_three_paths() is a 7-vertex path cut into pieces {0,1,2}, {2,3,4}, {4,5,6}
+THREE_PATHS = (chain_of_three_paths, 2)
+CYCLE_WITH_TAIL = (cycle_with_tail, 3)
+
+# fault, the check that must report it, the space and scale it goes into, its
+# count of hits (kept and suppressed), and its first witness
 FAULTS = [
     pytest.param(
-        moved_projection,
+        moved_projection(2),
+        "projection_uniqueness",
+        THREE_PATHS,
+        1,
+        {"piece": 1, "vertex": 6, "tree_answer": 2, "brute_answer": 4},
+        id="moved-projection-uniqueness",
+    ),
+    pytest.param(
+        moved_projection(2),
+        "projection_lipschitz",
+        THREE_PATHS,
+        1,
+        {"piece": 1, "edge": (5, 6), "projected_distance": 2},
+        id="moved-projection-lipschitz",
+    ),
+    pytest.param(
+        moved_projection(2),
+        "projection_stability",
+        THREE_PATHS,
+        214,
+        {"piece": 1, "pair": (6, 5), "projections": (2, 4)},
+        id="moved-projection-stability",
+    ),
+    pytest.param(
+        moved_projection(3),
         "chain_entry_projection",
+        THREE_PATHS,
         27,
         {"piece": 1, "chain": [6, 5, 6, 4, 4, 4, 2, 4, 6, 4, 2, 1], "expected_endpoints": (4, 2), "projections": (3, 2)},
         id="moved-projection-chain-entry",
     ),
     pytest.param(
-        moved_projection,
+        moved_projection(3),
         "trace_shape",
+        THREE_PATHS,
         1,
         {"vertex": 6, "piece": 1, "reason": "exit is not the projection", "exit": 4, "projection": 3},
         id="moved-projection-trace",
@@ -191,6 +261,7 @@ FAULTS = [
     pytest.param(
         shrunk_base_components,
         "trace_shape",
+        THREE_PATHS,
         12,
         {"vertex": 1, "piece": 0, "reason": "long run too short", "length": 1},
         id="shrunk-base-component-trace",
@@ -198,20 +269,30 @@ FAULTS = [
     pytest.param(
         small_magnitude,
         "geodesic_chain_distance",
+        THREE_PATHS,
         21,
         {"vertex": 1, "landing": 0, "distance": 1, "bound": 0},
         id="small-magnitude-geodesic-chain",
+    ),
+    pytest.param(
+        flipped_tail_color,
+        "projected_chain_color",
+        CYCLE_WITH_TAIL,
+        1,
+        {"piece": 0, "chain": [12, 30, 13], "reason": "projected point changes color", "bad": [16]},
+        id="flipped-color-projected-chain",
     ),
 ]
 
 
 class TestWitnessReporting:
-    @pytest.mark.parametrize("fault, name, hits, first", FAULTS)
-    def test_faults_are_reported(self, monkeypatch, fault, name, hits, first):
+    @pytest.mark.parametrize("fault, name, case, hits, first", FAULTS)
+    def test_faults_are_reported(self, monkeypatch, fault, name, case, hits, first):
+        make_space, r = case
         # the same inputs report nothing until the fault is patched in
-        assert run_check(name, chain_of_three_paths()).to_dict()["violations"] == []
+        assert run_check(name, make_space(), r).to_dict()["violations"] == []
         fault(monkeypatch)
-        res = run_check(name, chain_of_three_paths())
+        res = run_check(name, make_space(), r)
         assert res.violations[0] == first
         assert len(res.violations) + res.info.get("suppressed", 0) == hits
 
