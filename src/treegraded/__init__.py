@@ -1,7 +1,7 @@
 """Tree-graded graph spaces: piece colorings, assembly, and verification."""
 
 from .graph import ChainPredicate, Graph, GraphError, Path, strict_chain, weak_chain
-from .space import InvalidSpaceError, PieceTree, Space, ValidationReport, Violation
+from .space import InvalidSpaceError, Space, ValidationReport, Violation
 from .coloring import (
     MagnitudeReport,
     PieceColoring,
@@ -33,7 +33,6 @@ __all__ = [
     "Path",
     "PieceColoring",
     "PieceTemplate",
-    "PieceTree",
     "ScaleSetup",
     "Space",
     "SpaceColoring",

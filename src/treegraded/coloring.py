@@ -445,6 +445,12 @@ class StrategyPlan:
     arc_width: int | None = None  # cycles; default r
     brick_width: int | None = None  # grids; default 2r
 
+    def __post_init__(self):
+        for name in ("band_width", "arc_width", "brick_width"):
+            width = getattr(self, name)
+            if width is not None and width < 1:
+                raise ValueError(f"{name.replace('_', ' ')} must be positive")
+
     def widths(self, r: int) -> tuple[int, int, int]:
         return (
             self.band_width if self.band_width is not None else r,

@@ -12,11 +12,13 @@ already symmetric, and the call then neither re-casts nor transposes it.
 
 The stored metric is one int32 table per piece, and only this module knows
 that layout: callers read distances through dist_row, dist_block and
-dist_pairs, and a validated Space reads the distances inside one of its
-pieces from the views of the tables that compose_distances hands back (they
-stay exact if later tables replace them). All tables share one int32 array,
-allocated from the piece sizes, and scipy's fill writes each table once,
-straight into its slice, so no table is ever held twice. The tables are kept
+dist_pairs, and a validated Space keeps the tables that compose_distances
+hands back (_Tables; they stay exact if later tables replace them), reading
+the distances inside one of its pieces from their views. The same placement
+is the space's gluing tree, so _Tables also answers point projections: a
+climb from the point's home piece (_Tables.project). All tables share one
+int32 array, allocated from the piece sizes, and scipy's fill writes each
+table once, straight into its slice, so no table is ever held twice. The tables are kept
 one of two ways:
 
   composed   when a validated tree-graded Space hands over its placement
@@ -238,7 +240,8 @@ class _Tables(NamedTuple):
     piece, home[x], at row local[x] of that table. cut[k] is the vertex piece k
     shares with its parent piece parent[k] (-1 for the root): row cut_row[k] of
     piece k's table and row local[cut[k]] of its parent's. Per-vertex fields
-    are arrays, per-piece fields are lists, read one piece at a time.
+    are arrays, per-piece fields are lists, read one piece at a time. A
+    validated Space keeps this placement as its gluing tree.
     """
 
     flat: np.ndarray
@@ -253,6 +256,18 @@ class _Tables(NamedTuple):
     def table(self, k: int) -> np.ndarray:
         size, off = self.size[k], self.off[k]
         return self.flat[off : off + size * size].reshape(size, size)
+
+    def project(self, k: int, x: int) -> int:
+        """The vertex of piece k that every path from x into it passes, for x
+        outside piece k: the cut through which x's branch attaches to k.
+
+        Parents come before their children, so the climb from x's home piece
+        meets k exactly when x lies below k, and x then enters k at the last
+        cut climbed; otherwise it enters k at k's own cut."""
+        q, last = self.home.item(x), -1
+        while q > k:
+            last, q = self.cut[q], self.parent[q]
+        return last if q == k else self.cut[k]
 
 
 def _parts(members: np.ndarray, labels: np.ndarray) -> list[frozenset[int]]:
@@ -394,10 +409,11 @@ class Graph:
             self.compose_distances([np.arange(self.vertex_count)], [-1])  # the one-piece case
         return self._tables
 
-    def compose_distances(self, pieces: Sequence[ArrayLike], cuts: Sequence[int]) -> list[np.ndarray]:
+    def compose_distances(self, pieces: Sequence[ArrayLike], cuts: Sequence[int]) -> _Tables:
         """Keep per-piece distance tables glued along a tree as the graph's metric,
-        and return them, in the order of pieces: views over each piece's sorted
-        vertices, which callers read and do not write.
+        and return them with the tree: table(i) is a view of piece i's table
+        over its sorted vertices, which callers read and do not write, and
+        project(i, x) is x's projection onto piece i.
 
         pieces holds vertex arrays, root piece first; cuts[0] is -1 and
         cuts[i] is the one vertex piece i shares with the pieces before it.
@@ -406,7 +422,8 @@ class Graph:
         connected and convex, which a validated tree-graded space does. Then
         d(x, y) = d(x, c) + d_P(c, y) for x placed before piece P and y in P,
         which is how rows are composed from the tables. Tables kept before
-        are replaced; rows composed before stay, being exact either way.
+        are replaced, and a caller that keeps the returned tables still reads
+        its own; rows composed before stay, being exact either way.
         """
         n = self.vertex_count
         placed = np.zeros(n, dtype=bool)
@@ -443,7 +460,7 @@ class Graph:
             cut=cut,
             cut_row=cut_row,
         )
-        return [self._tables.table(k) for k in range(len(pieces))]
+        return self._tables
 
     def induced(self, verts: ArrayLike) -> csr_matrix:
         """The CSR adjacency of the subgraph induced by verts, its rows and

@@ -12,9 +12,16 @@ five axiom families:
 
 A space passing all five is tree-graded: the TREE axiom forces every simple
 loop into a single piece, and T1 makes cut vertices the only piece overlaps.
-Projections onto a piece are answered from the gluing tree in O(tree depth);
-the brute-force nearest-vertex computation lives in oracles.py as a test-side
-check, not here.
+
+The gluing tree is kept once. TREE is checked by one search of the
+incidence structure from piece 0, which reaches every piece through the cut
+it hangs by; on a valid space that visit order is the placement that
+Graph.compose_distances keeps, rooted at piece 0, with every piece after its
+parent. The space keeps that placement and the slot of each piece in it.
+The projection of x onto a piece is a climb from x's home piece toward the
+root (the placement's project), in O(tree depth); the brute-force
+nearest-vertex computation lives in oracles.py as a test-side check, not
+here.
 
 CONVEX follows from the other four, so validate checks it by an ambient pass
 only when one of them fails (the pass then adds witnesses). Proof: let c be a
@@ -27,13 +34,13 @@ through c: c separates B from P. A geodesic between two vertices of P is a
 simple path, so it never leaves P, and every edge it uses has both ends in P
 and belongs to P (by T1 no other piece holds two vertices of P). Hence
 piece-internal distances equal ambient ones. The same separation gives
-d(x, y) = d(x, c) + d_P(c, y) for y in P and x on the far side of c, so a
-successful validate hands the gluing tree's placement to
-Graph.compose_distances, which keeps the pieces' own tables as the whole
-metric: rows and diameters are composed from them along the tree, and no
-shortest-path search runs over the whole graph. Memory is the sum of |P|^2
-over the pieces plus the rows that have been read, so no V x V array is built
-unless a caller reads every row or the space is a single piece.
+d(x, y) = d(x, c) + d_P(c, y) for y in P and x on the far side of c, so the
+placement that a successful validate hands to Graph.compose_distances keeps
+the pieces' own tables as the whole metric: rows and diameters are composed
+from them along the tree, and no shortest-path search runs over the whole
+graph. Memory is the sum of |P|^2 over the pieces plus the rows that have
+been read, so no V x V array is built unless a caller reads every row or the
+space is a single piece.
 
 A piece of two or more vertices is connected once EDGE_COVER and TREE hold,
 so validate searches pieces for a second component only when EDGE_COVER, T1
@@ -58,13 +65,12 @@ scipy on each piece's induced subgraph (Graph.induced).
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .graph import Graph, GraphError, normalize_edge
+from .graph import Graph, GraphError, _Tables, normalize_edge
 
 
 class InvalidSpaceError(ValueError):
@@ -88,31 +94,6 @@ class ValidationReport:
     @property
     def ok(self) -> bool:
         return not self.violations
-
-
-@dataclass(frozen=True)
-class PieceTree:
-    """Bipartite gluing tree: piece nodes and cut-vertex nodes.
-
-    Parent pointers are rooted at the piece containing the basepoint (smallest
-    piece id when the basepoint is itself a cut vertex). Piece depths are even,
-    cut depths odd.
-    """
-
-    root_piece: int
-    piece_parent: dict[int, int | None]  # piece id -> parent cut vertex
-    cut_parent: dict[int, int]  # cut vertex -> parent piece id
-    piece_depth: dict[int, int]
-    cut_depth: dict[int, int]
-
-    @property
-    def node_count(self) -> int:
-        return len(self.piece_parent) + len(self.cut_parent)
-
-    @property
-    def edge_count(self) -> int:
-        # every non-root piece hangs off one cut; every cut hangs off one piece
-        return sum(1 for c in self.piece_parent.values() if c is not None) + len(self.cut_parent)
 
 
 class GeodesicTree(NamedTuple):
@@ -148,8 +129,9 @@ class Space:
         self._piece_of_edge: dict[tuple[int, int], int] | None = None
         self._piece_shapes: dict[int, object] = {}  # coloring.classify_piece, by piece id
         self._report: ValidationReport | None = None
-        self._tree: PieceTree | None = None
-        self._piece_tables: dict[int, np.ndarray] = {}  # piece id -> its kept distance table, once valid
+        # once valid: the kept tables and gluing tree, and each piece's slot in them
+        self._placement: _Tables | None = None
+        self._slot: list[int] = []
         self._basepoints: dict[int, int] | None = None
         self._geodesic_tree: GeodesicTree | None = None
 
@@ -197,7 +179,7 @@ class Space:
         """Piece pid's distance table, rows and columns over its sorted
         vertices, which a valid space keeps; callers read it and do not write."""
         self.require_valid()
-        return self._piece_tables[pid]
+        return self._placement.table(self._slot[pid])
 
     def piece_dist_from(self, pid: int, src: int) -> dict[int, int]:
         """Distances from src to every vertex of piece pid inside the piece,
@@ -207,7 +189,7 @@ class Space:
         if src not in piece:
             raise GraphError(f"vertex {src} not in piece {pid}")
         verts = sorted(piece)
-        row = self._piece_tables[pid][verts.index(src)]
+        row = self.piece_table(pid)[verts.index(src)]
         return dict(zip(verts, row.tolist()))
 
     # -- validation ---------------------------------------------------------------
@@ -215,20 +197,20 @@ class Space:
     def validate(self) -> ValidationReport:
         if self._report is not None:
             return self._report
-        violations = self._check_edge_cover() + self._check_t1() + self._check_tree()
+        tree, placement = self._check_tree()
+        violations = self._check_edge_cover() + self._check_t1() + tree
         # pieces can be disconnected only when one of those fails (module docstring)
         violations = self._check_connected_pieces(search=bool(violations)) + violations
         if violations:
             violations += self._check_convex()
         else:
             # CONVEX holds by the theorem in the module docstring
-            self._tree = self._build_gluing_tree()
-            placement = list(self._tree.piece_parent.items())
-            tables = self.graph.compose_distances(
-                [sorted(self.pieces[pid]) for pid, _ in placement],
-                [-1 if cut is None else cut for _, cut in placement],
+            self._placement = self.graph.compose_distances(
+                [sorted(self.pieces[pid]) for pid, _ in placement], [cut for _, cut in placement]
             )
-            self._piece_tables = {pid: table for (pid, _), table in zip(placement, tables)}
+            self._slot = [0] * len(placement)
+            for k, (pid, _) in enumerate(placement):
+                self._slot[pid] = k
         self._report = ValidationReport(tuple(violations))
         return self._report
 
@@ -282,29 +264,29 @@ class Space:
             if len(verts) >= 2
         ]
 
-    def _check_tree(self) -> list[Violation]:
+    def _check_tree(self) -> tuple[list[Violation], list[tuple[int, int]]]:
+        """TREE, and the pieces in the order a breadth-first search of the
+        piece / cut-vertex incidence structure from piece 0 reaches them, each
+        with the cut it was reached through (-1 for piece 0): once TREE holds,
+        the gluing tree, every piece after the piece holding its cut."""
         k = len(self.pieces)
         if k == 0:
-            return []  # nothing to glue; coverage violations speak for themselves
+            return [], []  # nothing to glue; coverage violations speak for themselves
+        incid = self.pieces_of_vertex
         cuts = sorted(self.cut_vertices)
         nodes = k + len(cuts)
-        edge_count = sum(len(self.pieces_of_vertex[c]) for c in cuts)
-        # BFS over the bipartite incidence structure from piece 0
-        seen_p = {0} if k else set()
+        edge_count = sum(len(incid[c]) for c in cuts)
+        placement = [(0, -1)]
+        seen_p = {0}
         seen_c: set[int] = set()
-        queue: deque[tuple[str, int]] = deque([("P", 0)]) if k else deque()
-        while queue:
-            kind, x = queue.popleft()
-            if kind == "P":
-                for v in self.pieces[x]:
-                    if len(self.pieces_of_vertex[v]) >= 2 and v not in seen_c:
-                        seen_c.add(v)
-                        queue.append(("C", v))
-            else:
-                for p in self.pieces_of_vertex[x]:
-                    if p not in seen_p:
-                        seen_p.add(p)
-                        queue.append(("P", p))
+        for x, _ in placement:  # grows as pieces are reached
+            for v in self.pieces[x]:
+                if len(incid[v]) >= 2 and v not in seen_c:
+                    seen_c.add(v)
+                    for p in incid[v]:
+                        if p not in seen_p:
+                            seen_p.add(p)
+                            placement.append((p, v))
         out = []
         if len(seen_p) != k:
             out.append(
@@ -317,7 +299,7 @@ class Space:
                     {"reason": "cycle among pieces", "incidences": edge_count, "nodes": nodes},
                 )
             )
-        return out
+        return out, placement
 
     def _check_convex(self) -> list[Violation]:
         """The first pair of each piece, row-major over its sorted vertices,
@@ -338,7 +320,7 @@ class Space:
         return out
 
     def require_valid(self):
-        # called per piece and scale by base_component and piece_dist_from: a cached report is read directly
+        # called on every read of a piece table (piece_table, piece_dist_from): a cached report is read directly
         report = self._report if self._report is not None else self.validate()
         if not report.ok:
             raise InvalidSpaceError(
@@ -346,62 +328,22 @@ class Space:
                 + "; ".join(v.describe() for v in report.violations[:3])
             )
 
-    # -- gluing tree and projections ---------------------------------------------
-
-    def gluing_tree(self) -> PieceTree:
-        """The gluing tree, built by a successful validate; raises on an invalid space."""
-        if self._tree is None:
-            self.require_valid()
-        return self._tree
-
-    def _build_gluing_tree(self) -> PieceTree:
-        """Piece / cut-vertex tree by BFS from the basepoint's piece; piece_parent
-        lists every piece after the piece holding its parent cut."""
-        root = min(self.pieces_of_vertex[self.basepoint])
-        piece_parent: dict[int, int | None] = {root: None}
-        cut_parent: dict[int, int] = {}
-        piece_depth = {root: 0}
-        cut_depth: dict[int, int] = {}
-        queue = deque([root])
-        while queue:
-            pid = queue.popleft()
-            for v in sorted(self.pieces[pid]):
-                if len(self.pieces_of_vertex[v]) < 2 or v in cut_parent:
-                    continue  # not a cut, or placed already, as the cut we came through is
-                cut_parent[v] = pid
-                cut_depth[v] = piece_depth[pid] + 1
-                for q in self.pieces_of_vertex[v]:
-                    if q not in piece_parent:
-                        piece_parent[q] = v
-                        piece_depth[q] = cut_depth[v] + 1
-                        queue.append(q)
-        return PieceTree(root, piece_parent, cut_parent, piece_depth, cut_depth)
+    # -- projections -----------------------------------------------------------------
 
     def project(self, pid: int, x: int) -> int:
         """Nearest vertex of piece pid to x (the projection onto the piece).
 
-        Answered from the gluing tree: it is the cut vertex through which the
-        subtree holding x attaches to the piece.
+        Answered by a climb of the kept gluing tree: it is the cut vertex
+        through which the branch holding x attaches to the piece.
         """
         self.graph.check_vertex(x)
         if not (0 <= pid < len(self.pieces)):
             raise GraphError(f"unknown piece id {pid}")
         if x in self.pieces[pid]:
             return x
-        tree = self.gluing_tree()
-        cur = min(self.pieces_of_vertex[x])
-        d_target = tree.piece_depth[pid]
-        last_cut: int | None = None
-        while cur != pid and tree.piece_depth[cur] > d_target:
-            last_cut = tree.piece_parent[cur]
-            assert last_cut is not None
-            cur = tree.cut_parent[last_cut]
-        if cur == pid:
-            assert last_cut is not None
-            return last_cut
-        parent = tree.piece_parent[pid]
-        assert parent is not None
-        return parent
+        if self._placement is None:
+            self.require_valid()  # a valid space keeps its placement once validated
+        return self._placement.project(self._slot[pid], x)
 
     def geodesic_tree(self) -> GeodesicTree:
         """The canonical geodesic tree from the basepoint, built once on a

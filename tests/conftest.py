@@ -122,6 +122,34 @@ validated_spaces = st.one_of(
 
 
 @st.composite
+def deep_spaces(draw, max_spine: int = 200, max_teeth: int = 12) -> Space:
+    """Deep gluing trees: edge_piece_path(n), n up to max_spine, as a spine,
+    with up to max_teeth cycles and grids hung off spine vertices (a comb),
+    so that a cut can be shared by three or more pieces. The pieces are
+    listed in a drawn order, so piece 0 can sit anywhere in the tree; the
+    basepoint is a leaf of the spine or its middle cut."""
+    n = draw(st.integers(1, max_spine))
+    edges = [(i, i + 1) for i in range(n)]
+    pieces = [{i, i + 1} for i in range(n)]
+    size = n + 1
+    for v in draw(st.lists(st.integers(0, n), max_size=max_teeth)):
+        rows, cols = draw(st.sampled_from([(1, 3), (1, 4), (1, 6), (2, 2), (2, 3), (3, 3)]))
+        if rows == 1:  # a cycle of cols + 1 vertices through v
+            ring = [v] + list(range(size, size + cols))
+            edges += [(a, b) for a, b in zip(ring, ring[1:] + ring[:1])]
+            cells = ring
+        else:  # a rows x cols grid with its corner at v
+            cells = [v] + list(range(size, size + rows * cols - 1))
+            edges += [(cells[i * cols + j], cells[i * cols + j + 1]) for i in range(rows) for j in range(cols - 1)]
+            edges += [(cells[i * cols + j], cells[(i + 1) * cols + j]) for i in range(rows - 1) for j in range(cols)]
+        pieces.append(set(cells))
+        size += len(cells) - 1
+    order = draw(st.permutations(range(len(pieces))))
+    basepoint = draw(st.sampled_from([0, n, n // 2]))
+    return Space(Graph(size, edges), [pieces[i] for i in order], basepoint)
+
+
+@st.composite
 def connected_graphs(draw, max_n: int = 24) -> Graph:
     """Random connected graph: a random tree plus a few extra edges."""
     n = draw(st.integers(min_value=1, max_value=max_n))

@@ -312,6 +312,13 @@ class TestOracles:
         )
         assert proc.stdout.strip() == "2"
 
+    def test_non_positive_width_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        space = {"name": "a", "forge": {"templates": [["path:5", 1]], "pieces": 3, "seed": 1}}
+        cfg.write_text(json.dumps({"spaces": [space], "r_list": [2], "strategy": {"arc_width": 0}}))
+        assert main(["experiment", str(cfg)]) == 2
+        assert "bad experiment config: arc width must be positive" in capsys.readouterr().err
+
 
 class TestMiscCli:
     def test_help_exits_zero(self):
@@ -327,6 +334,14 @@ class TestMiscCli:
         assert proc.returncode == 0
         payload = json.loads(proc.stdout[proc.stdout.index("{"):])
         assert [t["value"] for t in payload["floor_terms"]] == [1]  # floor(50/50)
+
+    @pytest.mark.parametrize("flag", ["--band-width", "--arc-width", "--brick-width"])
+    def test_non_positive_width_rejected(self, tmp_path, path_space_file, flag, capsys):
+        # the space has no cycle or grid piece: a width is refused whether or not a piece reads it
+        out = tmp_path / "w.tgcolor"
+        assert main(["color", path_space_file, "--r", "2", flag, "0", "-o", str(out)]) == 2
+        assert f"{flag[2:].replace('-', ' ')} must be positive" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("period", [-5, 0])
     def test_non_positive_period_rejected(self, tmp_path, path_space_file, period):

@@ -1,4 +1,4 @@
-"""Tree-graded validation, gluing trees, and projections."""
+"""Tree-graded validation and projections."""
 
 from __future__ import annotations
 
@@ -19,6 +19,7 @@ from conftest import (
     chain_of_three_paths,
     connected_graphs,
     cycle_graph,
+    deep_spaces,
     edge_piece_path,
     path_graph,
     pieces_in_a_cycle,
@@ -165,6 +166,35 @@ def induced_bfs(graph: Graph, piece: frozenset[int], src: int) -> dict[int, int]
     return dist
 
 
+def reference_tree(space: Space) -> list[Violation]:
+    """TREE as validate checked it by its own search of the piece / cut-vertex
+    incidence structure from piece 0, alternating piece and cut nodes."""
+    k = len(space.pieces)
+    if k == 0:
+        return []
+    incid = space.pieces_of_vertex
+    cuts = sorted(v for v, pids in enumerate(incid) if len(pids) >= 2)
+    nodes, edge_count = k + len(cuts), sum(len(incid[c]) for c in cuts)
+    seen_p, seen_c = {0}, set()
+    queue = [("P", 0)]
+    for kind, x in queue:
+        if kind == "P":
+            for v in space.pieces[x]:
+                if len(incid[v]) >= 2 and v not in seen_c:
+                    seen_c.add(v)
+                    queue.append(("C", v))
+        else:
+            for p in incid[x]:
+                if p not in seen_p:
+                    seen_p.add(p)
+                    queue.append(("P", p))
+    if len(seen_p) != k:
+        return [Violation("TREE", {"reason": "piece structure disconnected", "unreached_piece": min(set(range(k)) - seen_p)})]
+    if edge_count != nodes - 1:
+        return [Violation("TREE", {"reason": "cycle among pieces", "incidences": edge_count, "nodes": nodes})]
+    return []
+
+
 def reference_report(space: Space) -> tuple[tuple[Violation, ...], bool]:
     """validate's violations as a space that searches every piece would list
     them: connectivity by a BFS of each piece's induced subgraph, CONVEX by
@@ -180,7 +210,7 @@ def reference_report(space: Space) -> tuple[tuple[Violation, ...], bool]:
         missing = sorted(piece - induced_bfs(g, piece, min(piece)).keys())
         if missing:
             out.append(Violation("CONNECTED_PIECE", {"piece": pid, "reason": "disconnected", "unreached": missing[:4]}))
-    structural = fresh._check_edge_cover() + fresh._check_t1() + fresh._check_tree()
+    structural = fresh._check_edge_cover() + fresh._check_t1() + reference_tree(fresh)
     out += structural
     if out:
         for pid, piece in enumerate(fresh.pieces):
@@ -398,29 +428,6 @@ class TestPieceDistFrom:
             space.piece_dist_from(0, 4)
 
 
-class TestGluingTree:
-    def test_single_piece(self):
-        tree = single_piece_path(4).gluing_tree()
-        assert tree.node_count == 1 and tree.edge_count == 0
-        assert tree.root_piece == 0
-
-    def test_tripod_star(self):
-        tree = tripod_space(arm=2).gluing_tree()
-        assert tree.node_count == 4  # 3 pieces + 1 cut vertex
-        assert tree.edge_count == 3
-        assert set(tree.cut_parent) == {0}
-
-    def test_invalid_space_raises(self):
-        with pytest.raises(InvalidSpaceError):
-            two_triangles_sharing_edge().gluing_tree()
-
-    @settings(max_examples=40, deadline=None)
-    @given(small_spaces())
-    def test_tree_identity(self, space: Space):
-        tree = space.gluing_tree()
-        assert tree.edge_count == tree.node_count - 1
-
-
 class TestProject:
     def test_inside_piece_identity(self):
         space = chain_of_three_paths()
@@ -439,6 +446,22 @@ class TestProject:
         assert space.project(0, 6) == 2
         assert brute_project(space, 0, 6) == 2
 
+    def test_spaces_sharing_a_graph_keep_their_own_tree(self):
+        # validating the second space replaces the graph's tables and tree
+        g = path_graph(7)
+        first = Space(g, [{0, 1, 2}, {2, 3, 4}, {4, 5, 6}], 0)
+        second = Space(g, [{0, 1, 2, 3}, {3, 4, 5, 6}], 0)
+        assert first.validate().ok and second.validate().ok
+        assert [first.project(pid, 6) for pid in range(3)] == [2, 4, 6]
+        assert [first.project(pid, 0) for pid in range(3)] == [0, 2, 4]
+        assert [second.project(pid, 6) for pid in range(2)] == [3, 6]
+
+    def test_invalid_space_raises(self):
+        space = two_triangles_sharing_edge()
+        assert space.project(0, 1) == 1  # a member is its own projection, valid or not
+        with pytest.raises(InvalidSpaceError):
+            space.project(0, 3)
+
     @settings(max_examples=30, deadline=None)
     @given(small_spaces())
     def test_matches_brute_force_everywhere(self, space: Space):
@@ -452,6 +475,32 @@ class TestProject:
         for pid in range(len(space.pieces)):
             for x in range(space.graph.vertex_count):
                 assert len(brute_nearest_set(space.graph, space.pieces[pid], x)) == 1
+
+
+class TestDeepGluingTrees:
+    """Projections on long chains of cuts and on cuts shared by three or
+    more pieces, with the root piece anywhere in the tree."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(deep_spaces(), st.data())
+    def test_project_matches_brute_force(self, space: Space, data):
+        assert space.validate().ok
+        pids = st.integers(0, len(space.pieces) - 1)
+        xs = st.integers(0, space.graph.vertex_count - 1)
+        for pid, x in data.draw(st.lists(st.tuples(pids, xs), min_size=1, max_size=30)):
+            assert space.project(pid, x) == brute_project(space, pid, x)
+        pid = data.draw(pids)
+        assert space.basepoints()[pid] == brute_project(space, pid, space.basepoint)
+
+    def test_long_edge_piece_path(self):
+        n = 200
+        for basepoint in (0, n // 2):
+            space = edge_piece_path(n, basepoint)
+            # piece i is the edge {i, i + 1}: vertices below it enter at i, above it at i + 1
+            for pid in (0, 1, n // 2, n - 1):
+                for x in (0, n // 3, n // 2, n):
+                    expected = x if x in (pid, pid + 1) else (pid if x < pid else pid + 1)
+                    assert space.project(pid, x) == expected
 
 
 class TestBasepoints:
