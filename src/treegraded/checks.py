@@ -90,7 +90,7 @@ class CheckResult:
 
 
 class SpaceAnalysis:
-    """Shared caches for one space: projection arrays and piece distances.
+    """Shared caches for one space: Space.projection arrays and piece distances.
 
     A piece's member rows are gathered once per space: the first of
     check_projection_uniqueness (through nearest) and piece_dist_array to
@@ -105,13 +105,7 @@ class SpaceAnalysis:
     def proj_array(self, pid: int) -> np.ndarray:
         arr = self._proj.get(pid)
         if arr is None:
-            space = self.space
-            arr = np.fromiter(
-                (space.project(pid, x) for x in range(space.graph.vertex_count)),
-                dtype=np.int64,
-                count=space.graph.vertex_count,
-            )
-            self._proj[pid] = arr
+            arr = self._proj[pid] = self.space.projection(pid)
         return arr
 
     def nearest(self, pid: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -96,6 +96,8 @@ class ExperimentConfig:
             raise ValueError("experiment needs a non-empty list of scales")
         if any(r < 2 for r in self.r_list):
             raise ValueError("all scales must be >= 2")
+        if self.n_override is not None and (type(self.n_override) is not int or self.n_override < 1):
+            raise ValueError(f"n must be a positive integer, got {self.n_override!r}")
         if self.parallelism < 1:
             raise ValueError("parallelism must be >= 1")
         if self.color_period_override is not None and self.color_period_override < 1:
@@ -194,7 +196,7 @@ def _space_record(args: tuple[int, SpaceSource, ExperimentConfig]) -> dict:
                 for res in checks.space_suite(ana, rng, config.samples.stability_pairs)
             ]
         chain_samples = max(1, config.samples.chains // len(config.r_list))
-        n = config.n_override or natural_color_count(space)
+        n = config.n_override if config.n_override is not None else natural_color_count(space)
         cells = []
         for r in config.r_list:
             cells.append(

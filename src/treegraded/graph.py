@@ -15,8 +15,8 @@ that layout: callers read distances through dist_row, dist_block and
 dist_pairs, and a validated Space keeps the tables that compose_distances
 hands back (_Tables; they stay exact if later tables replace them), reading
 the distances inside one of its pieces from their views. The same placement
-is the space's gluing tree, so _Tables also answers point projections: a
-climb from the point's home piece (_Tables.project). All tables share one
+is the space's gluing tree, so _Tables also answers projections: projection
+for every vertex, project for one point. All tables share one
 int32 array, allocated from the piece sizes, and scipy's fill writes each
 table once, straight into its slice, so no table is ever held twice. The tables are kept
 one of two ways:
@@ -35,11 +35,11 @@ rows are composed on demand and memoised per source. Every vertex x has a
 home piece, the one that places it fresh. For the sources of one piece k,
 each vertex x has a projection pi(x) onto k, the vertex of k that every path
 from x into k passes, and d(u, x) = d_k(u, pi(x)) + d(pi(x), x) by the
-separation proved in space.py. One walk of the piece tree gives every
-piece's attachment to k and its gate toward k (_gates), and one numpy gather
-from k's table then gives the rows of all of k's sources. Composed rows are
-kept in one row store, so dist_block and dist_pairs read them with one
-gather each, after composing the rows they miss in one pass.
+separation proved in space.py. _Tables.projection(k) gives pi(x) and
+d(pi(x), x) for every x, and one numpy gather from k's table then gives the
+rows of all of k's sources. Composed rows are kept in one row store, so
+dist_block and dist_pairs read them with one gather each, after composing
+the rows they miss in one pass.
 
 Known limit: memory is the sum of |P|^2 over the pieces plus the rows that
 have been read, so one huge piece, a graph that is not split into pieces, or a
@@ -269,6 +269,41 @@ class _Tables(NamedTuple):
             last, q = self.cut[q], self.parent[q]
         return last if q == k else self.cut[k]
 
+    def projection(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Every vertex's projection onto piece k, as its row in k's table, and
+        its distance to it (0 inside k); project answers one point alike.
+
+        A vertex x that a piece Q != k places projects onto row attach[Q] of
+        k's table, and leaves Q toward k by Q's gate, row gate[Q] of Q's
+        table, at distance gap[Q] from that projection. One walk finds all
+        three: it climbs from k to the root, then runs down the other pieces
+        in placement order, each after its parent.
+        """
+        flat, home, local, off, size, parent, cut, cut_row = self
+        attach, gate, gap = [-1] * len(parent), [0] * len(parent), [0] * len(parent)
+        p, d = k, 0
+        while parent[p] >= 0:  # pieces above k project onto k's cut
+            q, e = parent[p], local.item(cut[p])
+            attach[q], gate[q], gap[q] = cut_row[k], e, d
+            if parent[q] >= 0:
+                d += flat.item(off[q] + e * size[q] + cut_row[q])
+            p = q
+        for p in range(1, len(parent)):
+            if attach[p] < 0:  # not above k; what this writes for k itself is never read
+                q = parent[p]
+                gate[p] = cut_row[p]
+                if q == k:  # p hangs off k at its own cut
+                    attach[p], gap[p] = local.item(cut[p]), 0
+                else:
+                    attach[p] = attach[q]
+                    gap[p] = gap[q] + flat.item(off[q] + gate[q] * size[q] + local.item(cut[p]))
+        attach, gate, gap = (np.array(a, dtype=np.int64) for a in (attach, gate, gap))
+        row = np.array(off, dtype=np.int64) + gate * np.array(size, dtype=np.int64)  # where each gate's row starts
+        inside = home == k
+        proj = np.where(inside, local, attach[home])
+        dist = np.where(inside, 0, gap[home] + flat[row[home] + local])
+        return proj, dist
+
 
 def _parts(members: np.ndarray, labels: np.ndarray) -> list[frozenset[int]]:
     """Sorted members grouped by label, so parts appear by smallest vertex."""
@@ -413,7 +448,7 @@ class Graph:
         """Keep per-piece distance tables glued along a tree as the graph's metric,
         and return them with the tree: table(i) is a view of piece i's table
         over its sorted vertices, which callers read and do not write, and
-        project(i, x) is x's projection onto piece i.
+        projection(i) and project(i, x) project onto piece i.
 
         pieces holds vertex arrays, root piece first; cuts[0] is -1 and
         cuts[i] is the one vertex piece i shares with the pieces before it.
@@ -468,58 +503,19 @@ class Graph:
         verts = self._vertex_array(verts)
         return self._csr[verts][:, verts]
 
-    def _gates(self, k: int) -> tuple[list[int], list[int], list[int]]:
-        """How every vertex projects onto piece k, listed by piece Q.
-
-        The projection onto k of a vertex x of Q (Q != k) is the vertex of k
-        that every path from x into k passes, at row attach[Q] of k's table;
-        Q's gate, the vertex of Q every such path leaves by, is row gate[Q] of
-        Q's table, at distance gap[Q] from that projection. The walk climbs
-        from k to the root, then runs down the other pieces in placement
-        order, each after its parent.
-        """
-        t = self._tables
-        flat, local, off, size, parent, cut = t.flat, t.local, t.off, t.size, t.parent, t.cut
-        attach, gate, gap = [0] * len(parent), [0] * len(parent), [0] * len(parent)
-        climbed = {k}
-        p, d = k, 0
-        while parent[p] >= 0:  # pieces above k project onto k's cut
-            q, e = parent[p], local.item(cut[p])
-            attach[q], gate[q], gap[q] = t.cut_row[k], e, d
-            climbed.add(q)
-            if parent[q] >= 0:
-                d += flat.item(off[q] + e * size[q] + t.cut_row[q])
-            p = q
-        for p in range(1, len(parent)):
-            if p not in climbed:
-                q = parent[p]
-                gate[p] = t.cut_row[p]
-                if q == k:  # p hangs off k at its own cut
-                    attach[p], gap[p] = local.item(cut[p]), 0
-                else:
-                    attach[p] = attach[q]
-                    gap[p] = gap[q] + flat.item(off[q] + gate[q] * size[q] + local.item(cut[p]))
-        return attach, gate, gap
-
     def _compose(self, sources: np.ndarray) -> np.ndarray:
         """int32 distances from each source to every vertex, composed from the
         tables and not memoised.
 
         For the sources placed by one piece k, d(u, x) = d_k(u, pi(x)) +
-        d(pi(x), x), with pi(x) the projection of x onto k (_gates): one
-        gather from k's table for all of them.
+        d(pi(x), x), with pi(x) the projection of x onto k (_Tables.projection):
+        one gather from k's table for all of them.
         """
         t = self._ensure_tables()
-        home, local = t.home, t.local
-        off, size = np.array(t.off, dtype=np.int64), np.array(t.size, dtype=np.int64)
-        homes = home[sources]
-        out = np.empty((sources.size, home.size), dtype=np.int32)
+        homes = t.home[sources]
+        out = np.empty((sources.size, t.home.size), dtype=np.int32)
         for k in np.unique(homes).tolist():
-            attach, gate, gap = (np.array(a, dtype=np.int64) for a in self._gates(k))
-            row = off + gate * size  # per piece: where its gate's row starts in flat
-            inside = home == k
-            proj = np.where(inside, local, attach[home])
-            dist = np.where(inside, 0, gap[home] + t.flat[row[home] + local])
+            proj, dist = t.projection(k)
             at = np.flatnonzero(homes == k)
             block = t.table(k)[t.local[sources[at]][:, None], proj]
             block += dist

@@ -18,10 +18,10 @@ incidence structure from piece 0, which reaches every piece through the cut
 it hangs by; on a valid space that visit order is the placement that
 Graph.compose_distances keeps, rooted at piece 0, with every piece after its
 parent. The space keeps that placement and the slot of each piece in it.
-The projection of x onto a piece is a climb from x's home piece toward the
-root (the placement's project), in O(tree depth); the brute-force
-nearest-vertex computation lives in oracles.py as a test-side check, not
-here.
+Projections onto a piece are read off it two ways, which agree: arrays (the
+property checks) by projection, one walk of the tree that Graph also composes
+rows from, and points (basepoints) by project, a climb from the point's home
+piece in O(tree depth). The brute-force nearest vertex is in oracles.py.
 
 CONVEX follows from the other four, so validate checks it by an ambient pass
 only when one of them fails (the pass then adds witnesses). Proof: let c be a
@@ -175,22 +175,25 @@ class Space:
 
     # -- piece-internal metric --------------------------------------------------
 
+    def _check_piece(self, pid: int):
+        if not 0 <= pid < len(self.pieces):  # a negative pid would index from the end
+            raise GraphError(f"unknown piece id {pid}")
+
     def piece_table(self, pid: int) -> np.ndarray:
         """Piece pid's distance table, rows and columns over its sorted
         vertices, which a valid space keeps; callers read it and do not write."""
+        self._check_piece(pid)
         self.require_valid()
         return self._placement.table(self._slot[pid])
 
     def piece_dist_from(self, pid: int, src: int) -> dict[int, int]:
         """Distances from src to every vertex of piece pid inside the piece,
         read from the piece's table, which a valid space keeps."""
-        self.require_valid()
-        piece = self.pieces[pid]
-        if src not in piece:
+        table = self.piece_table(pid)
+        if src not in self.pieces[pid]:
             raise GraphError(f"vertex {src} not in piece {pid}")
-        verts = sorted(piece)
-        row = self.piece_table(pid)[verts.index(src)]
-        return dict(zip(verts, row.tolist()))
+        verts = sorted(self.pieces[pid])
+        return dict(zip(verts, table[verts.index(src)].tolist()))
 
     # -- validation ---------------------------------------------------------------
 
@@ -337,13 +340,18 @@ class Space:
         through which the branch holding x attaches to the piece.
         """
         self.graph.check_vertex(x)
-        if not (0 <= pid < len(self.pieces)):
-            raise GraphError(f"unknown piece id {pid}")
+        self._check_piece(pid)
         if x in self.pieces[pid]:
             return x
-        if self._placement is None:
-            self.require_valid()  # a valid space keeps its placement once validated
+        self.require_valid()
         return self._placement.project(self._slot[pid], x)
+
+    def projection(self, pid: int) -> np.ndarray:
+        """project(pid, x) for every vertex x, as an int64 array: one walk of the gluing tree."""
+        self._check_piece(pid)
+        self.require_valid()
+        rows, _ = self._placement.projection(self._slot[pid])
+        return np.asarray(sorted(self.pieces[pid]), dtype=np.int64)[rows]
 
     def geodesic_tree(self) -> GeodesicTree:
         """The canonical geodesic tree from the basepoint, built once on a

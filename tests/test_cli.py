@@ -319,6 +319,24 @@ class TestOracles:
         assert main(["experiment", str(cfg)]) == 2
         assert "bad experiment config: arc width must be positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n", [0, -1, "2", 1.5, True])
+    def test_bad_color_count_is_config_error(self, tmp_path, capsys, n):
+        cfg = tmp_path / "cfg.json"
+        space = {"name": "a", "forge": {"templates": [["path:5", 1]], "pieces": 3, "seed": 1}}
+        cfg.write_text(json.dumps({"spaces": [space], "r_list": [2], "n": n}))
+        assert main(["experiment", str(cfg)]) == 2
+        assert f"bad experiment config: n must be a positive integer, got {n!r}" in capsys.readouterr().err
+
+    def test_color_count_override_is_used(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        space = {"name": "a", "forge": {"templates": [["path:5", 1]], "pieces": 3, "seed": 1}}
+        cfg.write_text(json.dumps({"spaces": [space], "r_list": [2], "n": 3, "property_checks": False}))
+        out = tmp_path / "report.json"
+        assert main(["experiment", str(cfg), "-o", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["config"]["n_override"] == 3
+        assert [cell["n"] for cell in report["spaces"][0]["cells"]] == [3]
+
 
 class TestMiscCli:
     def test_help_exits_zero(self):

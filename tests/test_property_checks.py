@@ -142,11 +142,18 @@ class TestDegeneratePointMeets:
 
 
 def moved_projection(to):
-    """The fault: Space.project answers to, not 4, for vertex 6 and the middle piece."""
+    """The fault: Space.projection answers to, not 4, for vertex 6 and the middle piece."""
 
     def fault(monkeypatch):
-        project = Space.project
-        monkeypatch.setattr(Space, "project", lambda self, pid, x: to if (pid, x) == (1, 6) else project(self, pid, x))
+        projection = Space.projection
+
+        def moved(self, pid):
+            arr = projection(self, pid).copy()
+            if pid == 1:
+                arr[6] = to
+            return arr
+
+        monkeypatch.setattr(Space, "projection", moved)
 
     return fault
 
@@ -398,14 +405,17 @@ def assert_check_equals_the_scalar_check(space, r, seed, pid=0, center=0, radius
     """The lockstep and the scalar check agree, results and generator state,
     with the projections onto piece pid of the radius-ball around center
     moved to to, as in FAULTS (radius -1: none moved)."""
-    moved = {x: to for x, d in enumerate(bfs_dists(space.graph, center)) if d <= radius}
-    project = Space.project
+    moved = [x for x, d in enumerate(bfs_dists(space.graph, center)) if d <= radius]
+    projection = Space.projection
 
-    def moved_project(self, p, x):
-        return moved[x] if p == pid and x in moved else project(self, p, x)
+    def moved_fill(self, p):
+        arr = projection(self, p).copy()
+        if p == pid:
+            arr[moved] = to
+        return arr
 
     rng, ref = SplitMix64(seed), SplitMix64(seed)
-    with mock.patch.object(Space, "project", moved_project):
+    with mock.patch.object(Space, "projection", moved_fill):
         got = checks.check_chain_entry_projection(checks.SpaceAnalysis(space), r, rng, samples)
         want = scalar_chain_entry_projection(checks.SpaceAnalysis(space), r, ref, samples)
     assert got.to_dict() == want.to_dict()

@@ -477,6 +477,60 @@ class TestProject:
                 assert len(brute_nearest_set(space.graph, space.pieces[pid], x)) == 1
 
 
+def assert_same_projections(pid: int, fill: np.ndarray, want: list[int], route: str):
+    """The fill of piece pid equals want at every vertex; a failure names the
+    first vertex where they differ and both answers."""
+    differ = np.flatnonzero(fill != np.asarray(want))
+    if differ.size:
+        x = int(differ[0])
+        raise AssertionError(f"piece {pid}, vertex {x}: fill {int(fill[x])}, {route} {want[x]}")
+
+
+class TestProjection:
+    """Space.projection, the fill of every vertex's projection onto a piece."""
+
+    def test_chain_of_three_paths(self):
+        space = chain_of_three_paths()  # pieces {0,1,2}, {2,3,4}, {4,5,6}
+        assert [space.projection(pid).tolist() for pid in range(3)] == [
+            [0, 1, 2, 2, 2, 2, 2],
+            [2, 2, 2, 3, 4, 4, 4],
+            [4, 4, 4, 4, 4, 5, 6],
+        ]
+        assert space.projection(1).dtype == np.int64
+
+    @settings(max_examples=30, deadline=None)
+    @given(small_spaces())
+    def test_matches_brute_force_everywhere(self, space: Space):
+        n = space.graph.vertex_count
+        for pid in range(len(space.pieces)):
+            want = [brute_project(space, pid, x) for x in range(n)]
+            assert_same_projections(pid, space.projection(pid), want, "brute force")
+
+    def test_invalid_space_raises(self):
+        with pytest.raises(InvalidSpaceError):
+            two_triangles_sharing_edge().projection(0)
+
+
+class TestPieceIds:
+    """A piece id outside 0 .. pieces - 1 is refused, not read from the end."""
+
+    @pytest.mark.parametrize("pid", [-1, 3])
+    @pytest.mark.parametrize(
+        "read",
+        [
+            lambda space, pid: space.project(pid, 5),
+            lambda space, pid: space.projection(pid),
+            lambda space, pid: space.piece_table(pid),
+            lambda space, pid: space.piece_dist_from(pid, 5),
+        ],
+        ids=["project", "projection", "piece_table", "piece_dist_from"],
+    )
+    def test_unknown_piece_id_raises(self, read, pid):
+        space = chain_of_three_paths()
+        with pytest.raises(GraphError, match=f"unknown piece id {pid}"):
+            read(space, pid)
+
+
 class TestDeepGluingTrees:
     """Projections on long chains of cuts and on cuts shared by three or
     more pieces, with the root piece anywhere in the tree."""
@@ -491,6 +545,33 @@ class TestDeepGluingTrees:
             assert space.project(pid, x) == brute_project(space, pid, x)
         pid = data.draw(pids)
         assert space.basepoints()[pid] == brute_project(space, pid, space.basepoint)
+
+    @settings(max_examples=30, deadline=None)
+    @given(deep_spaces(), st.data())
+    def test_projection_matches_the_climb_and_brute_force(self, space: Space, data):
+        assert space.validate().ok
+        n = space.graph.vertex_count
+        fills = [space.projection(pid) for pid in range(len(space.pieces))]
+        for pid, fill in enumerate(fills):
+            assert_same_projections(pid, fill, [space.project(pid, x) for x in range(n)], "climb")
+        pids = st.integers(0, len(space.pieces) - 1)
+        xs = st.integers(0, n - 1)
+        for pid, x in data.draw(st.lists(st.tuples(pids, xs), min_size=1, max_size=30)):
+            assert int(fills[pid][x]) == brute_project(space, pid, x), f"piece {pid}, vertex {x}"
+
+    @settings(max_examples=30, deadline=None)
+    @given(deep_spaces(), st.data())
+    def test_composed_rows_match_bfs(self, space: Space, data):
+        assert space.validate().ok
+        g = space.graph
+        assert len(g._tables.size) == len(space.pieces)  # rows are composed along the tree
+        sources = data.draw(st.lists(st.integers(0, g.vertex_count - 1), min_size=1, max_size=12))
+        block = g.dist_block(sources)
+        for u, row in zip(sources, block.tolist()):
+            want = bfs_dists(g, u)
+            if row != want:
+                x = next(x for x, (a, b) in enumerate(zip(row, want)) if a != b)
+                raise AssertionError(f"source {u}, vertex {x}: composed {row[x]}, BFS {want[x]}")
 
     def test_long_edge_piece_path(self):
         n = 200
