@@ -79,6 +79,14 @@ def _setup_from_args(space: Space, args) -> tuple[ScaleSetup, StrategyPlan]:
     return setup, plan
 
 
+def _valid_or_reported(space: Space) -> bool:
+    """Whether the space is valid; if not, its violations go to stderr."""
+    report = space.validate()
+    for v in report.violations:
+        print(v.describe(), file=sys.stderr)
+    return report.ok
+
+
 def cmd_validate(args) -> int:
     space = _load_space(args.space)
     report = space.validate()
@@ -145,10 +153,7 @@ def cmd_subdivide(args) -> int:
 
 def cmd_color(args) -> int:
     space = _load_space(args.space)
-    report = space.validate()
-    if not report.ok:
-        for v in report.violations:
-            print(v.describe(), file=sys.stderr)
+    if not _valid_or_reported(space):
         return EXIT_FAIL
     setup, plan = _setup_from_args(space, args)
     raw = None
@@ -255,6 +260,8 @@ def cmd_oracle_geodesic(args) -> int:
             file=sys.stderr,
         )
         return EXIT_INPUT
+    if not _valid_or_reported(space):  # piece shapes, and so the color count, need a valid space
+        return EXIT_FAIL
     setup, plan = _setup_from_args(space, args)
     colorings = build_piece_colorings(space, setup, plan)
     ok, witnesses = geodesic_invariance(space, setup, colorings, args.max_vertices)

@@ -26,8 +26,10 @@ keeps for the piece holds them all.
 Everything measured inside one piece is therefore read from that piece's
 table. The distances that place a piece's colors (band distances from the
 root of a tree piece, the path of a one-row brick piece, the recolored 2r-ball
-around the base vertex) are rows of it, read by Space.piece_dist_from; shapes
-are found from the graph's adjacency restricted to the piece. The magnitude
+around the base vertex) are rows of it, read by Space.piece_dist_from; so is
+its shape: the table's unit entries are the piece's edges, a cycle is ordered
+from two rows, and a grid, plain or subdivided, is placed from the rows of two
+of its corners (_piece_shape, _place_grid). The magnitude
 of a raw piece coloring (compute_piece_magnitude, certify_piece_colorings)
 takes one piece_diameters pass over the table the space keeps for the piece
 (Space.piece_table). The base component, the chain component of the base
@@ -49,10 +51,9 @@ the space would keep every space, and its distance tables, alive.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -246,137 +247,104 @@ class PieceShape:
 
 def classify_piece(space: Space, pid: int) -> PieceShape:
     """Detect which strategy fits a piece: acyclic, cycle, or grid. Memoised
-    on the space, per piece."""
+    on the space, per piece; needs a valid space, whose table it reads."""
     shape = space._piece_shapes.get(pid)
     if shape is None:
-        shape = space._piece_shapes[pid] = _detect_shape(space, pid)
+        shape = space._piece_shapes[pid] = _piece_shape(space, pid)
     return shape
 
 
-def _detect_shape(space: Space, pid: int) -> PieceShape:
-    piece = space.pieces[pid]
-    adj = {v: tuple(w for w in space.graph.adj[v] if w in piece) for v in piece}
-    n = len(piece)
-    m = sum(len(ws) for ws in adj.values()) // 2
-    if m == n - 1:
+def _piece_shape(space: Space, pid: int) -> PieceShape:
+    """A piece's shape, read from its table: the unit entries are its edges.
+
+    A tree has |P| - 1 edges. A cycle has |P| edges and every degree 2; its
+    order starts at its smallest vertex c and runs through c's smaller
+    neighbour s, and a vertex v sits at position d(c, v) when d(s, v) is one
+    less, else at |P| - d(c, v). Anything else is a grid, plain or with every
+    edge subdivided into k edges, exactly when _place_grid places it.
+    """
+    table = space.piece_table(pid)
+    verts = sorted(space.pieces[pid])
+    n = len(verts)
+    height = max(1, _BLOCK_ENTRIES // (2 * n))
+    # each edge twice, once from each end, as (row, column) pairs
+    rows, cols = np.concatenate([np.argwhere(table[lo : lo + height] == 1) + (lo, 0) for lo in range(0, n, height)]).T
+    degree = np.bincount(rows, minlength=n)
+    if rows.size == 2 * (n - 1):
         return PieceShape("tree")
-    if m == n and all(len(ws) == 2 for ws in adj.values()):
-        start = min(piece)
-        order = [start, min(adj[start])]
-        while len(order) < n:
-            prev, cur = order[-2], order[-1]
-            nxt = adj[cur][0] if adj[cur][0] != prev else adj[cur][1]
-            order.append(nxt)
-        return PieceShape("cycle", anchor=start, cycle_order=tuple(order))
-    coords = _grid_coordinates(piece, adj) or _subdivided_grid_coordinates(piece, adj)
-    if coords is not None:
-        anchor = next(v for v, ij in coords.items() if ij == (0, 0))
-        return PieceShape("grid", anchor=anchor, grid_coords=coords)
-    return PieceShape("unknown")
+    if rows.size == 2 * n and (degree == 2).all():
+        dc = table[0].astype(np.int64)
+        ds = table[int(np.argmax(dc == 1))]
+        order = np.empty(n, dtype=np.int64)
+        order[np.where(dc - ds == 1, dc, (n - dc) % n)] = np.arange(n)
+        return PieceShape("cycle", anchor=verts[0], cycle_order=tuple(verts[x] for x in order.tolist()))
+    placed = _place_grid(table, rows, cols, degree)
+    if placed is None:
+        return PieceShape("unknown")
+    c, i, j = placed
+    return PieceShape("grid", anchor=verts[c], grid_coords=dict(zip(verts, zip(i.tolist(), j.tolist()))))
 
 
-def _grid_coordinates(
-    piece: frozenset[int], adj: Mapping[int, Sequence[int]]
-) -> dict[int, tuple[int, int]] | None:
-    """Coordinatize an a x b grid from a degree-2 corner, or return None.
+def _place_grid(
+    table: np.ndarray, rows: np.ndarray, cols: np.ndarray, degree: np.ndarray
+) -> tuple[int, np.ndarray, np.ndarray] | None:
+    """Place a piece as an a x b grid whose every edge is a path of k >= 1
+    edges: the anchor's row and the coordinates (i, j) of every row, or None.
 
-    Processes vertices outward from the corner in BFS layers: a vertex with two
-    already-placed neighbors sits at the coordinate-wise max of their positions;
-    a vertex with one placed neighbor extends that neighbor's axis.
+    Rows follow the sorted vertex ids; the edges are the pairs (rows, cols),
+    and degree counts them. k is the distance from a branch vertex (degree
+    >= 3) to its nearest other branch vertex. Lattice vertices are those whose
+    distance to the nearest branch vertex is a multiple of k; the corners are
+    the four lattice vertices of degree 2, and the anchor c is the one with
+    the smallest id. The j axis runs toward the side corner s_j whose lattice
+    neighbour of the anchor (at distance k) has the smaller id. Distances from
+    a corner are lattice (L1) distances, so j = (d(c,v) - d(s_j,v) +
+    d(c,s_j)) / 2 and i = d(c,v) - j. One exact check follows: the vertices
+    sit on distinct points of the grid's lattice lines, and there are as many
+    vertices and edges as the subdivided grid has, every edge a unit step.
+    Tables are read at most _BLOCK_ENTRIES / 2 entries at a time.
     """
-    corners = sorted(v for v in piece if len(adj[v]) == 2)
-    if not corners:
+    branch = np.flatnonzero(degree >= 3)
+    twos = np.flatnonzero(degree == 2)
+    if branch.size < 2 or twos.size < 4:
         return None
-    c = corners[0]
-    dist = {c: 0}
-    order = [c]
-    queue = deque([c])
-    while queue:
-        u = queue.popleft()
-        for w in adj[u]:
-            if w not in dist:
-                dist[w] = dist[u] + 1
-                order.append(w)
-                queue.append(w)
-    if len(dist) != len(piece):
+    k = int(table[branch[0], branch[1:]].min())
+    height = max(1, _BLOCK_ENTRIES // (2 * branch.size))
+    to_branch = np.concatenate(
+        [table[np.ix_(twos[lo : lo + height], branch)].min(axis=1) for lo in range(0, twos.size, height)]
+    )
+    corners = twos[to_branch % k == 0]
+    if corners.size != 4:
         return None
-    first, second = sorted(adj[c])
-    coords: dict[int, tuple[int, int]] = {c: (0, 0), first: (0, 1), second: (1, 0)}
-    for v in order:
-        if v in coords:
-            continue
-        placed = [coords[w] for w in adj[v] if w in coords and dist[w] == dist[v] - 1]
-        if len(placed) == 2:
-            coords[v] = (max(placed[0][0], placed[1][0]), max(placed[0][1], placed[1][1]))
-        elif len(placed) == 1:
-            i, j = placed[0]
-            if i == 0 and j > 0:
-                coords[v] = (0, j + 1)
-            elif j == 0 and i > 0:
-                coords[v] = (i + 1, 0)
-            else:
-                return None
-        else:
-            return None
-    rows = 1 + max(i for i, _ in coords.values())
-    cols = 1 + max(j for _, j in coords.values())
-    if rows * cols != len(piece) or len(set(coords.values())) != len(piece):
+    c = int(corners[0])
+    dc = table[c].astype(np.int64)
+    lattice = np.union1d(branch, corners)
+    beside = lattice[dc[lattice] == k]  # the anchor's lattice neighbours
+    if beside.size != 2:
         return None
-    for v in piece:
-        iv, jv = coords[v]
-        expected = (iv > 0) + (iv < rows - 1) + (jv > 0) + (jv < cols - 1)
-        if len(adj[v]) != expected:
-            return None
-        for w in adj[v]:
-            iw, jw = coords[w]
-            if abs(iv - iw) + abs(jv - jw) != 1:
-                return None
-    return coords
-
-
-def _subdivided_grid_coordinates(
-    piece: frozenset[int], adj: Mapping[int, Sequence[int]]
-) -> dict[int, tuple[int, int]] | None:
-    """Coordinatize a grid whose every edge is a path of k >= 2 edges, or
-    return None.
-
-    Its branch vertices (degree >= 3) are joined by threads of degree-2
-    vertices. Cut at every k-th step, the threads make a plain grid whose
-    corners are the cut points inside threads. Grid vertices sit on a k-spaced
-    lattice and thread vertices are interpolated along their edge.
-    """
-    threads = []
-    for a in sorted(v for v in piece if len(adj[v]) > 2):
-        for w in adj[a]:
-            thread = [a, w]
-            while len(adj[thread[-1]]) == 2:
-                x, y = adj[thread[-1]]
-                thread.append(x if x != thread[-2] else y)
-            if len(adj[thread[-1]]) < 2 or thread[-1] == a:
-                return None
-            if (a, w) < (thread[-1], thread[-2]):  # each thread once
-                threads.append(thread)
-    if not threads:
+    # beside[0] lies on geodesics from c to s_j and to the far corner, which is farther
+    toward = [int(s) for s in corners[1:] if table[beside[0], s] + k == dc[s]]
+    if not toward:
         return None
-    k = min(len(t) - 1 for t in threads)
-    if k < 2 or any((len(t) - 1) % k for t in threads):
+    s_j = min(toward, key=lambda s: dc[s])
+    j = (dc - table[s_j] + dc[s_j]) // 2
+    i = dc - j
+    if i.min() < 0 or j.min() < 0:
         return None
-    edges = [t[i : i + k + 1] for t in threads for i in range(0, len(t) - 1, k)]
-    coarse_adj: dict[int, list[int]] = {}
-    for e in edges:
-        coarse_adj.setdefault(e[0], []).append(e[-1])
-        coarse_adj.setdefault(e[-1], []).append(e[0])
-    coarse = _grid_coordinates(frozenset(coarse_adj), {v: sorted(ws) for v, ws in coarse_adj.items()})
-    if coarse is None:
+    last_i, last_j = int(i.max()), int(j.max())
+    if last_i % k or last_j % k:
         return None
-    coords = {}
-    for e in edges:
-        (i0, j0), (i1, j1) = coarse[e[0]], coarse[e[-1]]
-        for t, v in enumerate(e):
-            coords[v] = (k * i0 + t * (i1 - i0), k * j0 + t * (j1 - j0))
-    if len(set(coords.values())) != len(piece):
+    a, b = last_i // k + 1, last_j // k + 1
+    segments = a * (b - 1) + b * (a - 1)
+    if (
+        dc.size != a * b + (k - 1) * segments
+        or rows.size != 2 * k * segments
+        or not ((i % k == 0) | (j % k == 0)).all()
+        or np.unique(i * (last_j + 1) + j).size != dc.size
+        or not (np.abs(i[rows] - i[cols]) + np.abs(j[rows] - j[cols]) == 1).all()
+    ):
         return None
-    return coords
+    return c, i, j
 
 
 # -- strategies ----------------------------------------------------------------

@@ -96,6 +96,8 @@ class ExperimentConfig:
             raise ValueError("experiment needs a non-empty list of scales")
         if any(r < 2 for r in self.r_list):
             raise ValueError("all scales must be >= 2")
+        if self.chain_mode not in ("strict", "weak"):
+            raise ValueError(f"unknown chain mode {self.chain_mode!r}")
         if self.n_override is not None and (type(self.n_override) is not int or self.n_override < 1):
             raise ValueError(f"n must be a positive integer, got {self.n_override!r}")
         if self.parallelism < 1:
@@ -104,10 +106,19 @@ class ExperimentConfig:
             raise ValueError("color period must be positive")
 
 
+def _of_type(value, kind: type, name: str):
+    """value, if it has exactly the type kind (int or bool): int() would read
+    2.9, "2" and true as integers, and bool() would read "false" as true."""
+    if type(value) is not kind:
+        raise ValueError(f"{name} must be {'an integer' if kind is int else 'true or false'}, got {value!r}")
+    return value
+
+
 def config_from_json(data: dict) -> ExperimentConfig:
     """The configuration a parsed experiment config file describes.
 
-    A malformed file raises AttributeError, KeyError, ValueError or TypeError.
+    Integers must be JSON integers and flags JSON booleans. A malformed file
+    raises AttributeError, KeyError, ValueError or TypeError.
     """
     sources = []
     for i, entry in enumerate(data.get("spaces", [])):
@@ -118,14 +129,14 @@ def config_from_json(data: dict) -> ExperimentConfig:
             fg = entry["forge"]
             spec = ForgeSpec(
                 templates=tuple(
-                    (PieceTemplate.parse(t), int(w)) for t, w in fg["templates"]
+                    (PieceTemplate.parse(t), _of_type(w, int, "each template weight")) for t, w in fg["templates"]
                 ),
-                piece_budget=int(fg["pieces"]),
-                max_tree_depth=int(fg.get("max_tree_depth", 8)),
-                attach_spacing=int(fg.get("spacing", 1)),
-                branch_cap=int(fg.get("branch_cap", 3)),
-                seed=int(fg.get("seed", 0)),
-                subdivide=int(fg.get("subdivide", 1)),
+                piece_budget=_of_type(fg["pieces"], int, "pieces"),
+                max_tree_depth=_of_type(fg.get("max_tree_depth", 8), int, "max_tree_depth"),
+                attach_spacing=_of_type(fg.get("spacing", 1), int, "spacing"),
+                branch_cap=_of_type(fg.get("branch_cap", 3), int, "branch_cap"),
+                seed=_of_type(fg.get("seed", 0), int, "seed"),
+                subdivide=_of_type(fg.get("subdivide", 1), int, "subdivide"),
             )
             sources.append(SpaceSource(name=name, forge=spec))
         else:
@@ -134,7 +145,7 @@ def config_from_json(data: dict) -> ExperimentConfig:
     samples = data.get("samples", {})
     return ExperimentConfig(
         sources=tuple(sources),
-        r_list=tuple(int(r) for r in data["r_list"]),
+        r_list=tuple(_of_type(r, int, "each r_list entry") for r in data["r_list"]),
         chain_mode=data.get("chain_mode", "strict"),
         n_override=data.get("n"),
         plan=StrategyPlan(
@@ -144,15 +155,15 @@ def config_from_json(data: dict) -> ExperimentConfig:
         ),
         color_period_override=data.get("color_period"),
         samples=SampleBudget(
-            stability_pairs=int(samples.get("stability_pairs", 10_000)),
-            chains=int(samples.get("chains", 1_000)),
-            trace_targets=int(samples.get("trace_targets", 64)),
-            geodesic_chain_targets=int(samples.get("geodesic_chain_targets", 48)),
+            **{
+                name: _of_type(samples.get(name, default), int, name)
+                for name, default in dataclasses.asdict(SampleBudget()).items()
+            }
         ),
-        property_checks=bool(data.get("property_checks", True)),
-        slack_2r=bool(data.get("slack_2r", True)),
-        parallelism=int(data.get("parallelism", 1)),
-        seed=int(data.get("seed", 0)),
+        property_checks=_of_type(data.get("property_checks", True), bool, "property_checks"),
+        slack_2r=_of_type(data.get("slack_2r", True), bool, "slack_2r"),
+        parallelism=_of_type(data.get("parallelism", 1), int, "parallelism"),
+        seed=_of_type(data.get("seed", 0), int, "seed"),
     )
 
 

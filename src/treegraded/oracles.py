@@ -186,6 +186,8 @@ def min_magnitude(
     state_cap: int = 200_000,
 ) -> int:
     """Exact minimal magnitude over all (n+1)-colorings of the whole graph."""
+    if n < 0:
+        raise ValueError(f"need n >= 0 (at least one color), got {n}")
     count = graph.vertex_count
     if count > max_vertices:
         raise ValueError(f"instance too large ({count} > {max_vertices} vertices)")

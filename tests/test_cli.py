@@ -295,6 +295,19 @@ class TestOracles:
         proc = run_cli("oracle", "geodesic-invariance", path_space_file, "--r", 2)
         assert proc.returncode == 2
 
+    def test_geodesic_invariance_on_invalid_space_reports_violations(self, tmp_path):
+        bad = tmp_path / "bad.tgspace"
+        write_space(two_triangles_sharing_edge(), str(bad))
+        proc = run_cli("oracle", "geodesic-invariance", str(bad), "--r", 2)
+        assert proc.returncode == 1, proc.stderr
+        assert "T1" in proc.stderr and "error" not in proc.stderr
+
+    def test_min_magnitude_negative_color_count_is_input_error(self, tmp_path, capsys):
+        space_file = tmp_path / "p5.tgspace"
+        write_space(edge_piece_path(4), str(space_file))
+        assert main(["oracle", "min-magnitude", str(space_file), "--r", "3", "--n", "-1"]) == 2
+        assert "need n >= 0" in capsys.readouterr().err
+
     def test_min_magnitude_strict(self, tmp_path):
         space_file = tmp_path / "p5.tgspace"
         write_space(edge_piece_path(4), str(space_file))
@@ -326,6 +339,30 @@ class TestOracles:
         cfg.write_text(json.dumps({"spaces": [space], "r_list": [2], "n": n}))
         assert main(["experiment", str(cfg)]) == 2
         assert f"bad experiment config: n must be a positive integer, got {n!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"r_list": [2.9]}, "each r_list entry must be an integer, got 2.9"),
+            ({"r_list": [True]}, "each r_list entry must be an integer, got True"),
+            ({"property_checks": "false"}, "property_checks must be true or false, got 'false'"),
+            ({"slack_2r": "no"}, "slack_2r must be true or false, got 'no'"),
+            ({"chain_mode": "bogus"}, "unknown chain mode 'bogus'"),
+            ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+            ({"parallelism": True}, "parallelism must be an integer, got True"),
+            ({"samples": {"chains": "10"}}, "chains must be an integer, got '10'"),
+            ({"space": {"pieces": 3.5}}, "pieces must be an integer, got 3.5"),
+            ({"space": {"seed": False}}, "seed must be an integer, got False"),
+            ({"space": {"templates": [["path:5", 1.0]]}}, "each template weight must be an integer, got 1.0"),
+        ],
+    )
+    def test_mistyped_field_is_config_error(self, tmp_path, capsys, change, message):
+        space = {"name": "a", "forge": {"templates": [["path:5", 1]], "pieces": 3, "seed": 1}}
+        space["forge"].update(change.pop("space", {}))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"spaces": [space], "r_list": [2], **change}))
+        assert main(["experiment", str(cfg)]) == 2
+        assert f"bad experiment config: {message}" in capsys.readouterr().err
 
     def test_color_count_override_is_used(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -7,7 +7,6 @@ import gc
 import random
 import tracemalloc
 import weakref
-from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -349,14 +348,14 @@ class TestBaseComponentRoute:
 
 class TestShapeMemo:
     def test_grids_coordinatised_once_per_space(self, monkeypatch):
-        calls: Counter = Counter()
-        detect = coloring._grid_coordinates
+        calls = []
+        place = coloring._place_grid
 
-        def counting(piece, adj):
-            calls[piece] += 1
-            return detect(piece, adj)
+        def counting(table, *edges):
+            calls.append(table.shape[0])
+            return place(table, *edges)
 
-        monkeypatch.setattr(coloring, "_grid_coordinates", counting)
+        monkeypatch.setattr(coloring, "_place_grid", counting)
         space = gen_free_product_model(
             PieceTemplate.parse("grid:4x5"), PieceTemplate.parse("path:6"), depth=3, attach_spacing=3
         )
@@ -364,7 +363,8 @@ class TestShapeMemo:
             build_piece_colorings(space, ScaleSetup(r=r, n=natural_color_count(space)))
         grids = [p for pid, p in enumerate(space.pieces) if classify_piece(space, pid).kind == "grid"]
         assert len(grids) > 1
-        assert calls == Counter({p: 1 for p in grids})
+        # only grids reach the placement, and each grid has to: once each
+        assert calls == [20] * len(grids)
         # the memo lives on the space: dropping the space frees it
         ref = weakref.ref(space)
         del space

@@ -100,6 +100,12 @@ class TestMinMagnitude:
         with pytest.raises(ValueError):
             min_magnitude(path_graph(14), strict_chain(2), n=2)  # 3^14 colorings
 
+    def test_negative_color_count_rejected(self):
+        # no coloring has fewer than one color
+        with pytest.raises(ValueError, match="need n >= 0"):
+            min_magnitude(path_graph(5), strict_chain(3), n=-1)
+        assert min_magnitude(path_graph(5), strict_chain(3), n=0) == 4
+
     @settings(max_examples=15, deadline=None)
     @given(connected_graphs(max_n=6), st.integers(2, 4), st.booleans())
     def test_never_exceeds_any_concrete_coloring(self, g, r, weak):

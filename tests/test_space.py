@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from treegraded.forge import ForgeSpec, PieceTemplate, gen_free_product_model, gen_random, subdivide_space
@@ -533,9 +533,15 @@ class TestPieceIds:
 
 class TestDeepGluingTrees:
     """Projections on long chains of cuts and on cuts shared by three or
-    more pieces, with the root piece anywhere in the tree."""
+    more pieces, with the root piece anywhere in the tree.
 
-    @settings(max_examples=40, deadline=None)
+    The hypothesis tests skip the shrink phase: shrinking a deep space takes
+    minutes, and each failure message already names the first differing
+    piece or source and vertex."""
+
+    no_shrink = (Phase.explicit, Phase.reuse, Phase.generate)
+
+    @settings(max_examples=40, deadline=None, phases=no_shrink)
     @given(deep_spaces(), st.data())
     def test_project_matches_brute_force(self, space: Space, data):
         assert space.validate().ok
@@ -546,7 +552,7 @@ class TestDeepGluingTrees:
         pid = data.draw(pids)
         assert space.basepoints()[pid] == brute_project(space, pid, space.basepoint)
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30, deadline=None, phases=no_shrink)
     @given(deep_spaces(), st.data())
     def test_projection_matches_the_climb_and_brute_force(self, space: Space, data):
         assert space.validate().ok
@@ -559,7 +565,7 @@ class TestDeepGluingTrees:
         for pid, x in data.draw(st.lists(st.tuples(pids, xs), min_size=1, max_size=30)):
             assert int(fills[pid][x]) == brute_project(space, pid, x), f"piece {pid}, vertex {x}"
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30, deadline=None, phases=no_shrink)
     @given(deep_spaces(), st.data())
     def test_composed_rows_match_bfs(self, space: Space, data):
         assert space.validate().ok
